@@ -296,6 +296,72 @@ func BenchmarkHierarchyData(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyStoreShared: four cores load and store a pool of 512
+// shared blocks, half of the accesses stores, so most stores find sharers
+// in peer L1Ds and exercise the invalidation sweep.
+func BenchmarkHierarchyStoreShared(b *testing.B) {
+	h := memsys.New(memsys.DefaultConfig())
+	x := uint64(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		h.Data(i&3, memsys.Addr(x>>40&511)<<6, x>>33&1 == 0)
+	}
+}
+
+// paperSetCodec returns the SMS set codec of the paper's virtualized PHT
+// (11 entries x 43 bits per 64-byte block) and 1024 packed sets of random
+// entries.
+func paperSetCodec(b *testing.B) (sms.SetCodec, [][]byte) {
+	cfg := sms.DefaultVPHTConfig(0)
+	c, err := sms.NewSetCodec(cfg.Ways, cfg.TagBits(), uint(cfg.Geom.RegionBlocks), cfg.BlockBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := uint64(7)
+	blocks := make([][]byte, 1024)
+	for i := range blocks {
+		s := sms.PHTSet{Tags: make([]uint32, c.Ways), Pats: make([]sms.Pattern, c.Ways), Victim: uint8(i % c.Ways)}
+		for w := range s.Tags {
+			x = x*6364136223846793005 + 1442695040888963407
+			s.Tags[w] = uint32(x>>20) & (1<<c.TagBits - 1)
+			s.Pats[w] = sms.Pattern(x >> 32)
+		}
+		blocks[i] = make([]byte, c.BlockBytes())
+		c.Pack(s, blocks[i])
+	}
+	return c, blocks
+}
+
+// BenchmarkSetCodecUnpackInto decodes one packed PHT set per op, the work
+// of every PVCache refill.
+func BenchmarkSetCodecUnpackInto(b *testing.B) {
+	c, blocks := paperSetCodec(b)
+	var s sms.PHTSet
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.UnpackInto(blocks[i&1023], &s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/set")
+}
+
+// BenchmarkSetCodecPack clears a block and packs one PHT set into it per
+// op, the work of every dirty PVCache eviction.
+func BenchmarkSetCodecPack(b *testing.B) {
+	c, blocks := paperSetCodec(b)
+	sets := make([]sms.PHTSet, len(blocks))
+	for i, blk := range blocks {
+		c.UnpackInto(blk, &sets[i])
+	}
+	dst := make([]byte, c.BlockBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(dst)
+		c.Pack(sets[i&1023], dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/set")
+}
+
 func BenchmarkProxyAccess(b *testing.B) {
 	h := memsys.New(memsys.DefaultConfig())
 	v := sms.NewVirtualizedPHT(sms.DefaultVPHTConfig(0xF0000000), pvcore.HierarchyBackend{H: h})

@@ -121,6 +121,14 @@ func TestSweepErrors(t *testing.T) {
 	if err := run([]string{"sweep", "-specs", "PV-8", "-grid", "/does/not/exist.json"}, &out); err == nil {
 		t.Error("missing grid file accepted")
 	}
+	// Non-finite and overflowing scales: NaN used to panic in Grid.Hash,
+	// and 1e300 ran at the 1000-access floor.
+	for _, scale := range []string{"NaN", "+Inf", "1e300"} {
+		err := run([]string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-scale", scale}, &out)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %s: error %v, want a scale error", scale, err)
+		}
+	}
 	// Flags-first invocation: the error must point at the subcommand
 	// syntax, not claim "unknown experiment".
 	err := run([]string{"-p", "4", "sweep", "-specs", "PV-8"}, &out)

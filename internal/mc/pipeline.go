@@ -61,7 +61,7 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 }
 
 // config builds the explored wiring: a virtualized prefetcher (the
-// richest commit traffic: L2 demand, directory moves, PV reads and
+// richest commit traffic: L2 demand, L1 writebacks, PV reads and
 // writebacks) over toy caches, with the cost model folding — its
 // conservation laws are part of every path's check.
 func (o PipelineOptions) config() (sim.Config, error) {

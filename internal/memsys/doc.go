@@ -24,11 +24,11 @@
 //
 //   - Cache (cache.go): one set-associative write-back LRU cache with
 //     per-line dirty and "prefetched, unused" bits.
-//   - Hierarchy (hierarchy.go): wires L1s, the banked L2, main-memory
-//     latency and the coherence directory; exposes demand (Data/Fetch),
-//     prefetch, and PV entry points.
-//   - directory (directory.go): a full-map invalidation directory; remote
-//     stores invalidate sharers, which is what ends SMS generations.
+//   - Hierarchy (hierarchy.go): wires L1s, the banked L2 and main-memory
+//     latency; exposes demand (Data/Fetch), prefetch, and PV entry points.
+//   - Coherence: sharers found by probing peer L1Ds. A store invalidates
+//     every other core's L1D copy, which is what ends SMS generations; no
+//     directory state is kept beside the caches.
 //   - Addr/AddrRange/AccessKind/Class (addr.go): address and traffic
 //     taxonomy.
 //

@@ -4,12 +4,12 @@ package memsys
 // mechanism behind the deterministic two-phase parallel stepper
 // (sim.Config.CoreParallel). During the parallel local phase each core runs
 // against only its own L1s and predictor state; every operation that would
-// touch shared state — an L2 request, a dirty-L1 writeback, a coherence
-// directory update, a PVProxy read or writeback — is appended to the core's
-// Effects under the key of the access that caused it instead of executing.
-// The serial commit phase then replays the logs in exact round-robin access
-// order via Commit, so the shared L2, directory and PVProxy counters observe
-// precisely the operation sequence the serial stepper would have produced.
+// touch shared state — an L2 request, a dirty-L1 writeback, a PVProxy read
+// or writeback — is appended to the core's Effects under the key of the
+// access that caused it instead of executing. The serial commit phase then
+// replays the logs in exact round-robin access order via Commit, so the
+// shared L2 and PVProxy counters observe precisely the operation sequence
+// the serial stepper would have produced.
 //
 // Keys are assigned by EffectKey and are strictly increasing along each
 // core's log (the local phase visits its own accesses in round order and
@@ -37,8 +37,6 @@ type effectKind uint8
 const (
 	opL2Req effectKind = iota
 	opL1WB
-	opDirAdd
-	opDirRemove
 	opPVRead
 	opPVWriteback
 )
@@ -49,7 +47,6 @@ type effectOp struct {
 	kind      effectKind
 	akind     AccessKind
 	fp        bool // fillPrefetched for opL2Req
-	core      int  // directory ops
 	addr      Addr
 	fl2, fmem *uint64 // opPVRead: FilledByL2/FilledByMem counters
 }
@@ -68,14 +65,6 @@ func (e *Effects) appendL2Req(a Addr, kind AccessKind, fillPrefetched bool) {
 
 func (e *Effects) appendL1WB(a Addr) {
 	e.push(effectOp{kind: opL1WB, addr: a})
-}
-
-func (e *Effects) appendDirAdd(core int, a Addr) {
-	e.push(effectOp{kind: opDirAdd, core: core, addr: a})
-}
-
-func (e *Effects) appendDirRemove(core int, a Addr) {
-	e.push(effectOp{kind: opDirRemove, core: core, addr: a})
 }
 
 // AppendPVRead defers a PVProxy metadata read. fl2 and fmem point at the
@@ -128,10 +117,6 @@ func (e *Effects) Commit(h *Hierarchy, key uint32) (fetch, data Level) {
 			}
 		case opL1WB:
 			h.writebackToL2(op.addr)
-		case opDirAdd:
-			h.dir.add(op.core, op.addr)
-		case opDirRemove:
-			h.dir.remove(op.core, op.addr)
 		case opPVRead:
 			res := h.PVRead(op.addr)
 			switch {

@@ -174,22 +174,22 @@ type Result struct {
 	CoveredMiss bool
 }
 
-// Hierarchy wires per-core L1s, the shared L2, the coherence directory and
-// main memory together.
+// Hierarchy wires per-core L1s, the shared L2 and main memory together.
+// Coherence needs no directory state: a store finds the sharers it must
+// invalidate by probing the other cores' L1Ds.
 type Hierarchy struct {
 	cfg Config
 	l1i []*Cache
 	l1d []*Cache
 	l2  *Cache
-	dir *directory
 
 	// evictHooks are caller-registered per-core L1D eviction observers
 	// (SMS uses them to end spatial-region generations).
 	evictHooks []func(addr Addr, cause EvictCause)
 
 	// fx, when a core's slot is non-nil, routes that core's shared-state
-	// operations (L2 requests, writebacks, directory updates) into its
-	// Effects log instead of executing them — the parallel local phase of
+	// operations (L2 requests and writebacks) into its Effects log instead
+	// of executing them — the parallel local phase of
 	// sim.Config.CoreParallel. Per-core L1 state and per-core statistics
 	// stay live either way. Serial operation leaves every slot nil.
 	fx []*Effects
@@ -218,7 +218,6 @@ func New(cfg Config) *Hierarchy {
 		l1i:        make([]*Cache, cfg.Cores),
 		l1d:        make([]*Cache, cfg.Cores),
 		l2:         NewCache(cfg.L2),
-		dir:        newDirectory(),
 		evictHooks: make([]func(Addr, EvictCause), cfg.Cores),
 		fx:         make([]*Effects, cfg.Cores),
 		lastIBlock: make([]Addr, cfg.Cores),
@@ -236,11 +235,6 @@ func New(cfg Config) *Hierarchy {
 		h.l1i[i] = NewCache(ic)
 		h.l1d[i] = NewCache(dc)
 		h.l1d[i].SetEvictHook(func(addr Addr, cause EvictCause) {
-			if fx := h.fx[i]; fx != nil {
-				fx.appendDirRemove(i, addr)
-			} else {
-				h.dir.remove(i, addr)
-			}
 			if hook := h.evictHooks[i]; hook != nil {
 				hook(addr, cause)
 			}
@@ -263,8 +257,8 @@ func (h *Hierarchy) ResetStats() {
 }
 
 // Reset returns the hierarchy to its post-construction state in place:
-// caches emptied, directory cleared, bank arbitration and the clock rewound,
-// statistics zeroed. Registered hooks are kept.
+// caches emptied, bank arbitration and the clock rewound, statistics zeroed.
+// Registered hooks are kept.
 func (h *Hierarchy) Reset() {
 	for i := 0; i < h.cfg.Cores; i++ {
 		h.l1i[i].Reset()
@@ -272,7 +266,6 @@ func (h *Hierarchy) Reset() {
 		h.lastIBlock[i] = 0
 	}
 	h.l2.Reset()
-	h.dir.reset()
 	h.now = 0
 	for i := range h.bankFree {
 		h.bankFree[i] = 0
@@ -405,7 +398,6 @@ func (h *Hierarchy) writebackToL2(a Addr) {
 func (h *Hierarchy) backInvalidate(block Addr) {
 	for c := 0; c < h.cfg.Cores; c++ {
 		if v := h.l1d[c].Invalidate(block); v.Valid {
-			h.dir.remove(c, block)
 			h.Stats.Core[c].Invalidations++
 			if v.UnusedPrefetch {
 				h.Stats.Core[c].PrefetchUnused++
@@ -418,10 +410,24 @@ func (h *Hierarchy) backInvalidate(block Addr) {
 	}
 }
 
+// sharers returns the mask of cores other than core whose L1D holds block,
+// found by probing each peer L1D in core order.
+func (h *Hierarchy) sharers(core int, block Addr) uint32 {
+	var mask uint32
+	for c, l1 := range h.l1d {
+		if c != core && l1.Contains(block) {
+			mask |= 1 << uint(c)
+		}
+	}
+	return mask
+}
+
 // invalidateSharers removes the block from every other core's L1D, firing
-// their eviction hooks (which end SMS generations).
+// their eviction hooks (which end SMS generations). The sharer mask is taken
+// before the first invalidation, so hooks that move blocks in other L1Ds do
+// not change which cores are visited.
 func (h *Hierarchy) invalidateSharers(core int, block Addr) {
-	mask := h.dir.others(core, block)
+	mask := h.sharers(core, block)
 	for other := 0; mask != 0; other++ {
 		bit := uint32(1) << uint(other)
 		if mask&bit == 0 {
@@ -431,7 +437,6 @@ func (h *Hierarchy) invalidateSharers(core int, block Addr) {
 		v := h.l1d[other].Invalidate(block)
 		if v.Valid {
 			h.Stats.Core[other].Invalidations++
-			h.dir.remove(other, block)
 			if v.UnusedPrefetch {
 				h.Stats.Core[other].PrefetchUnused++
 			}
@@ -445,23 +450,16 @@ func (h *Hierarchy) invalidateSharers(core int, block Addr) {
 // ApplyRemoteInvalidate applies, on the victim's side, the L1D invalidation
 // a remote core's store inflicts: the parallel local phase's counterpart of
 // one victim's share of invalidateSharers. The probe is unconditional —
-// Invalidate on an absent block is a silent no-op, and a present block
-// means the serial directory sweep would have invalidated it here (the
-// directory mirrors L1D residency exactly). Statistics land in the victim's
-// own per-core slot; shared-state operations (directory removal, the dirty
-// writeback) defer into the victim's Effects log in the same order the
-// serial sweep executes them.
+// Invalidate on an absent block is a silent no-op, and a present block is
+// exactly what the serial sweep's probe would have found and invalidated
+// here. Statistics land in the victim's own per-core slot; the dirty
+// writeback defers into the victim's Effects log.
 func (h *Hierarchy) ApplyRemoteInvalidate(victim int, block Addr) {
 	v := h.l1d[victim].Invalidate(block) // evict hook fires for valid lines
 	if !v.Valid {
 		return
 	}
 	h.Stats.Core[victim].Invalidations++
-	if fx := h.fx[victim]; fx != nil {
-		fx.appendDirRemove(victim, block)
-	} else {
-		h.dir.remove(victim, block)
-	}
 	if v.UnusedPrefetch {
 		h.Stats.Core[victim].PrefetchUnused++
 	}
@@ -524,11 +522,6 @@ func (h *Hierarchy) Data(core int, a Addr, write bool) Result {
 func (h *Hierarchy) fillL1D(core int, block Addr, dirty, prefetched bool) {
 	fx := h.fx[core]
 	v := h.l1d[core].Fill(block, dirty, prefetched)
-	if fx != nil {
-		fx.appendDirAdd(core, block)
-	} else {
-		h.dir.add(core, block)
-	}
 	if v.Valid {
 		if v.UnusedPrefetch {
 			h.Stats.Core[core].PrefetchUnused++
@@ -621,6 +614,17 @@ func (h *Hierarchy) PVWriteback(a Addr) Result {
 	return Result{Level: LevelL2, Latency: h.cfg.L2.DataLatency}
 }
 
-// DirectorySize reports the number of blocks tracked by the coherence
-// directory (tests use it).
-func (h *Hierarchy) DirectorySize() int { return h.dir.len() }
+// DirectorySize reports the number of distinct blocks resident in any L1D,
+// the entries a full-map coherence directory would track. It walks every
+// L1D, so it is for observers, not the access path.
+func (h *Hierarchy) DirectorySize() int {
+	blocks := make(map[Addr]bool)
+	for _, l1 := range h.l1d {
+		for i, ln := range l1.lines {
+			if ln.valid {
+				blocks[l1.compose(i/l1.ways, ln.tag)] = true
+			}
+		}
+	}
+	return len(blocks)
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,29 @@ func TestQueuePositionZeroVisible(t *testing.T) {
 		if !bytes.Contains(body, []byte(`"position": 0`)) {
 			t.Errorf("GET %s does not show the queued sweep at position 0:\n%s", url, body)
 		}
+	}
+}
+
+// TestSubmitRejectsBadScale: grids whose scale is not finite or overflows
+// the access count are refused with 400, and the server keeps serving. JSON
+// has no NaN or Infinity literals, so those bodies fail to decode; 1e300
+// decodes and fails Grid.Validate.
+func TestSubmitRejectsBadScale(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: -1})
+	for _, scale := range []string{"NaN", "Infinity", "+Inf", "1e300", "1e309"} {
+		body := `{"specs":["PV-8"],"workloads":["Apache"],"scale":` + scale + `}`
+		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("scale %s: %v", scale, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scale %s: status %d (%s), want 400", scale, resp.StatusCode, msg)
+		}
+	}
+	if code, _, _ := postGrid(t, ts, smallGrid(), ""); code != http.StatusAccepted {
+		t.Errorf("valid grid after bad scales: status %d, want 202", code)
 	}
 }
 

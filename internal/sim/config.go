@@ -126,7 +126,7 @@ type Config struct {
 	// intra-run parallelism: each batch splits into a parallel per-core
 	// local phase (stream production, L1 lookups, predictor-local updates)
 	// and a serial commit phase that replays every deferred shared-state
-	// operation — L2 requests, directory updates, PVProxy traffic, the
+	// operation — L2 requests, dirty L1 writebacks, PVProxy traffic, the
 	// cost-model fold — in exact round-robin access order, so output is
 	// byte-identical to serial stepping with or without Compile
 	// (TestCoreParallelBitIdentical pins it). Like Compile it is a pure

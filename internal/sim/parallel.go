@@ -26,7 +26,7 @@ import (
 //     exact round-robin access order and folds the cost model.
 //
 // Determinism argument: the only state shared between cores is the L2
-// (with its directory and bank/statistics counters), the PVProxy backend
+// (with its bank and statistics counters), the PVProxy backend
 // traffic, and the cost fold. All of it is deferred in phase 3 and
 // replayed in phase 4 in exactly the order the serial stepper executes it;
 // per-core state (L1I/L1D, predictor, proxy bookkeeping, per-core stats)

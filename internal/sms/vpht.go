@@ -48,8 +48,9 @@ func NewSetCodec(ways int, tagBits, patternBits uint, blockBytes int) (SetCodec,
 // BlockBytes implements core.Codec.
 func (c SetCodec) BlockBytes() int { return c.Block }
 
-// UnusedBits reports the trailing slack after entries and cursor (39 - 4 =
-// 35 for the paper's 11-way layout... the paper counts 39 before the cursor).
+// UnusedBits reports the trailing slack after the entries and the 4-bit
+// cursor. The paper's 11-way layout leaves 512 - 11x43 = 39 spare bits; the
+// cursor uses 4 of them, so 35 are unused.
 func (c SetCodec) UnusedBits() int {
 	return c.Block*8 - c.Ways*int(c.TagBits+c.PatternBits) - 4
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"pvsim/internal/experiments"
@@ -146,9 +147,18 @@ func (g Grid) scenarios() ([]scenario, error) {
 }
 
 // Validate checks the grid against the pv and workload registries so a
-// typo errors with the available names before any simulation starts.
+// typo errors with the available names before any simulation starts. It
+// also rejects a scale that is not finite (checked before normalization,
+// which maps every scale <= 0 to 1) or whose per-core access count does not
+// fit an int.
 func (g Grid) Validate() error {
+	if math.IsNaN(g.Scale) || math.IsInf(g.Scale, 0) {
+		return fmt.Errorf("sweep: scale %v is not a finite number", g.Scale)
+	}
 	g = g.normalized()
+	if n := float64(sim.DefaultScale) * g.Scale; n >= float64(math.MaxInt) {
+		return fmt.Errorf("sweep: scale %g asks for %g accesses per core, more than an int holds", g.Scale, n)
+	}
 	if len(g.Specs) == 0 {
 		return fmt.Errorf("sweep: grid has no specs (try names from 'pvsim list', e.g. \"PV-8\")")
 	}

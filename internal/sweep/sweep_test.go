@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -100,6 +101,33 @@ func TestGridValidate(t *testing.T) {
 	// expansion, before any simulation.
 	if _, err := (Grid{Specs: []string{"PV-8"}, Mixes: []string{"DB2/Apache"}, Scale: testScale}).Jobs(); err == nil {
 		t.Error("two-core mix expanded onto a four-core system")
+	}
+}
+
+// TestGridValidateScale is the regression pin for scales that used to
+// crash or silently mislead: NaN panicked in Hash, and 1e300 overflowed
+// the access count, which was then clamped to the 1000-access floor. Each
+// must be rejected with an error naming the value.
+func TestGridValidateScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		named string
+	}{
+		{math.NaN(), "NaN"},
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{1e300, "1e+300"},
+		{3e13, "3e+13"}, // 1.2e19 accesses per core
+	} {
+		err := (Grid{Specs: []string{"PV-8"}, Scale: tc.scale}).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("scale %v: error %v, want one naming %s", tc.scale, err, tc.named)
+		}
+	}
+	for _, ok := range []float64{0, testScale, 1} {
+		if err := (Grid{Specs: []string{"PV-8"}, Scale: ok}).Validate(); err != nil {
+			t.Errorf("scale %v rejected: %v", ok, err)
+		}
 	}
 }
 
