@@ -119,9 +119,7 @@ func BenchmarkSystemReset(b *testing.B) {
 	cfg := sim.Default(w)
 	cfg.Prefetch = sim.PV8
 	sys := sim.NewSystem(cfg)
-	for i := 0; i < 10_000; i++ {
-		sys.StepAll()
-	}
+	sys.StepAllN(10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Reset()
@@ -432,10 +430,10 @@ func BenchmarkHeadlineStreamReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkSystemStepCompiled is BenchmarkSystemStep through the batched
-// compiled pipeline: ns/op is per access (all cores round-robin), directly
-// comparable to BenchmarkSystemStep's per-access number, with stream
-// production amortized to a chunk decode per core per batch.
+// BenchmarkSystemStepCompiled is BenchmarkSystemStep on compiled traces:
+// ns/op is per access (all cores round-robin), directly comparable to
+// BenchmarkSystemStep's per-access number, with stream production a chunk
+// decode per core per batch instead of generator calls.
 func BenchmarkSystemStepCompiled(b *testing.B) {
 	w, _ := workloads.ByName("Apache")
 	cfg := sim.Default(w)
@@ -549,6 +547,8 @@ func BenchmarkSystemStepParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemStep measures the batched step loop on live generators:
+// ns/op is per access (all cores round-robin).
 func BenchmarkSystemStep(b *testing.B) {
 	w, _ := workloads.ByName("Apache")
 	cfg := sim.Default(w)
@@ -556,9 +556,14 @@ func BenchmarkSystemStep(b *testing.B) {
 	cfg.Timing = true
 	sys := sim.NewSystem(cfg)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step(i & 3)
-	}
+	stepAccesses(sys, b.N)
+}
+
+// stepAccesses advances sys by n accesses in total, spread round-robin
+// over its cores, so a benchmark's ns/op is per access.
+func stepAccesses(sys *sim.System, n int) {
+	cores := sys.Hier.Config().Cores
+	sys.StepAllN((n + cores - 1) / cores)
 }
 
 // BenchmarkSystemStepCost is BenchmarkSystemStep with the passive cost
@@ -572,9 +577,7 @@ func BenchmarkSystemStepCost(b *testing.B) {
 	cfg.Cost = timing.Config{Enabled: true}
 	sys := sim.NewSystem(cfg)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step(i & 3)
-	}
+	stepAccesses(sys, b.N)
 }
 
 // BenchmarkHeadlineCostReuse is BenchmarkHeadlineReuse with cost

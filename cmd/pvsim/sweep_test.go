@@ -129,9 +129,16 @@ func TestSweepErrors(t *testing.T) {
 			t.Errorf("-scale %s: error %v, want a scale error", scale, err)
 		}
 	}
+	// A PVCache larger than the table it caches used to be allocated
+	// whole (a billion entries killed the process); it is refused, naming
+	// both numbers.
+	err := run([]string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-pvcache", "1000000000", "-scale", "0.0025"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1000000000") || !strings.Contains(err.Error(), "1024") {
+		t.Errorf("-pvcache 1000000000: error %v, want one naming the entries and the table's 1024 sets", err)
+	}
 	// Flags-first invocation: the error must point at the subcommand
 	// syntax, not claim "unknown experiment".
-	err := run([]string{"-p", "4", "sweep", "-specs", "PV-8"}, &out)
+	err = run([]string{"-p", "4", "sweep", "-specs", "PV-8"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "subcommand") {
 		t.Errorf("flags-before-subcommand error = %v, want a subcommand hint", err)
 	}

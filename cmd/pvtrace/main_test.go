@@ -87,29 +87,24 @@ func TestRecordDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompileAndInspect exercises the PVA2 path end to end: compile from a
-// generator, compile by transcoding a recording, and inspect both — the
-// transcoded trace must summarize identically to its source recording.
+// TestCompileAndInspect pins the chunked PVA2 output of -record: -chunk
+// sets the chunk length inspect reports, and the chunking changes no
+// access, so the summary matches a default-chunk recording's.
 func TestCompileAndInspect(t *testing.T) {
 	dir := t.TempDir()
-	pva := filepath.Join(dir, "t.pva")
-	pvc := filepath.Join(dir, "t.pvc")
-	trans := filepath.Join(dir, "trans.pvc")
+	def := filepath.Join(dir, "def.pva")
+	small := filepath.Join(dir, "small.pva")
 
 	var out bytes.Buffer
-	if err := run([]string{"-record", "-workload", "Qry1", "-n", "5000", "-o", pva}, &out); err != nil {
+	if err := run([]string{"-record", "-workload", "Qry1", "-n", "5000", "-o", def}, &out); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run([]string{"-compile", "-workload", "Qry1", "-n", "5000", "-chunk", "1024", "-o", pvc}, &out); err != nil {
+	if err := run([]string{"-record", "-workload", "Qry1", "-n", "5000", "-chunk", "1024", "-o", small}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "5 chunks of 1024") {
-		t.Errorf("compile output:\n%s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-compile", "-from", pva, "-o", trans, "-n", "999"}, &out); err != nil {
-		t.Fatal(err) // -n must be ignored when transcoding: the recording sets the length
+		t.Errorf("record output:\n%s", out.String())
 	}
 
 	inspect := func(file string) string {
@@ -120,19 +115,31 @@ func TestCompileAndInspect(t *testing.T) {
 		}
 		return out.String()
 	}
-	src, compiled, transcoded := inspect(pva), inspect(pvc), inspect(trans)
-	for name, s := range map[string]string{"compiled": compiled, "transcoded": transcoded} {
-		if !strings.Contains(s, "PVA2 compiled") {
-			t.Errorf("%s inspect does not name the format:\n%s", name, s)
-		}
-		if !strings.Contains(s, "accesses:        5000") {
-			t.Errorf("%s inspect summary:\n%s", name, s)
-		}
+	a, b := inspect(def), inspect(small)
+	if !strings.Contains(b, "PVA2 compiled (5 chunks of 1024) — workload=Qry1 seed=42 core=0") {
+		t.Errorf("inspect does not name the format and provenance:\n%s", b)
 	}
 	// Same stream, same statistics: strip the format line and compare.
 	strip := func(s string) string { return s[strings.Index(s, "accesses:"):] }
-	if strip(src) != strip(compiled) || strip(compiled) != strip(transcoded) {
-		t.Fatalf("summaries diverge across formats:\n--- pva ---\n%s--- pvc ---\n%s--- trans ---\n%s", src, compiled, transcoded)
+	if strip(a) != strip(b) {
+		t.Fatalf("summaries diverge across chunk lengths:\n--- default ---\n%s--- 1024 ---\n%s", a, b)
+	}
+}
+
+// TestInspectRejectsOtherFormats pins that -inspect reads PVA2 only: any
+// other file is an error naming the magic found in it.
+func TestInspectRejectsOtherFormats(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "old.pva")
+	if err := os.WriteFile(file, append([]byte("PVA1"), make([]byte, 40)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-inspect", file}, &out)
+	if err == nil {
+		t.Fatalf("non-PVA2 file inspected:\n%s", out.String())
+	}
+	if !strings.Contains(err.Error(), `"PVA1"`) {
+		t.Fatalf("error %q does not name the magic found", err)
 	}
 }
 
@@ -149,5 +156,10 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"-inspect", "/does/not/exist"}, &out); err == nil {
 		t.Error("missing file accepted")
+	}
+	for _, gone := range []string{"-compile", "-from"} {
+		if err := run([]string{gone, "x"}, &out); err == nil {
+			t.Errorf("removed flag %s accepted", gone)
+		}
 	}
 }

@@ -46,9 +46,7 @@ func main() {
 
 	// First invocation: train, flush PVCaches, snapshot the PVTables.
 	first := sim.NewSystem(cfg)
-	for i := 0; i < train; i++ {
-		first.StepAll()
-	}
+	first.StepAllN(train)
 	images := make([]bytes.Buffer, cores)
 	for c := 0; c < cores; c++ {
 		smsAt(first, c).VPHT().Proxy().Flush() // dirty sets must reach memory first
@@ -69,9 +67,7 @@ func main() {
 				}
 			}
 		}
-		for i := 0; i < run; i++ {
-			sys.StepAll()
-		}
+		sys.StepAllN(run)
 		var covered, trig, hits uint64
 		for c := 0; c < cores; c++ {
 			covered += sys.Hier.Stats.Core[c].L1DPrefetchHits

@@ -87,14 +87,16 @@ func TestGoldenReportDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden digest re-runs five experiments; skipped with -short")
 	}
-	// The parallel stepper claims bit-identity, so it must reproduce the
-	// very same golden captures — no re-capture, no per-mode constants.
+	// The parallel stepper and compiled traces claim bit-identity, so they
+	// must reproduce the very same golden captures — no re-capture, no
+	// per-mode constants. Compiled mixes include the PhaseFlush variant.
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
 		{"serial", Options{Scale: determinismScale, Seed: 42}},
 		{"core-parallel", Options{Scale: determinismScale, Seed: 42, CoreParallel: true}},
+		{"compiled", Options{Scale: determinismScale, Seed: 42, Compile: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			r := NewRunner(mode.opts)

@@ -41,8 +41,8 @@ type Options struct {
 	// re-acquired from the KeepSystems pool — a hot configuration, about to
 	// run again — has its streams compiled in place. Results are
 	// bit-identical to the generator path and share its cache keys
-	// (sim.Signature excludes the switch); phase-flush configurations fall
-	// back to live generators automatically.
+	// (sim.Signature excludes the switch). Every configuration compiles,
+	// phase-flush mixes included.
 	Compile bool
 	// CoreParallel opts every simulation into the deterministic two-phase
 	// parallel stepper (sim.Config.CoreParallel): batches run a parallel
@@ -280,7 +280,7 @@ func (r *Runner) acquireSystem(key string, cfg sim.Config) *sim.System {
 		// Hot-grid auto-compile: a pooled system being re-acquired is about
 		// to run the same configuration again — the exact case where paying
 		// one stream materialization buys every subsequent replay. A no-op
-		// when the system already compiled (or cannot: phase flush).
+		// when the system already compiled.
 		sys.CompileStreams(cfg.Warmup + cfg.Measure)
 	}
 	// A pooled system may have been built before this option applied (or

@@ -54,6 +54,30 @@ func TestSubmitRejectsBadScale(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedPVCache pins the fail-closed PVCache cap: a
+// grid asking for more PVCache entries than the table has sets is a 400
+// naming both numbers, not a billion-entry allocation that kills the
+// server, and the server keeps admitting valid grids afterwards.
+func TestSubmitRejectsOversizedPVCache(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: -1})
+	body := `{"specs":["PV-8"],"workloads":["Apache"],"pvcache":[1000000000]}`
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "1000000000") || !strings.Contains(string(msg), "1024") {
+		t.Errorf("error body %q does not name the entries and the set count", msg)
+	}
+	if code, _, _ := postGrid(t, ts, smallGrid(), ""); code != http.StatusAccepted {
+		t.Errorf("valid grid after the oversized one: status %d, want 202", code)
+	}
+}
+
 // TestSubmitExpandsGridOnce pins the admission cost: one submit performs
 // exactly one grid expansion (Grid.Plan), not one per derived quantity.
 // Before the fix, newQueuedRun expanded once for the simulation total and

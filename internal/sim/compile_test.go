@@ -9,11 +9,11 @@ import (
 	"pvsim/internal/workloads"
 )
 
-// TestCompiledRunBitIdentical is the determinism pin of the compiled-trace
-// fast path: for every prefetcher wiring (including timing, mixes, and the
-// phased-flush fallback), a Config.Compile run must produce exactly the
-// Result of the live-generator run — same accesses, same interleaving,
-// same statistics to the last counter.
+// TestCompiledRunBitIdentical is the determinism pin of compiled traces:
+// for every prefetcher wiring (including timing, mixes, and phase-flush
+// edges), a Config.Compile run must produce exactly the Result of the
+// live-generator run — same accesses, same interleaving, same statistics
+// to the last counter.
 func TestCompiledRunBitIdentical(t *testing.T) {
 	cfgs := resetConfigs(t)
 	// Add a cost-model wiring: the fold's per-step proxy snapshots must
@@ -29,11 +29,7 @@ func TestCompiledRunBitIdentical(t *testing.T) {
 			ccfg := cfg
 			ccfg.Compile = true
 			sys := NewSystem(ccfg)
-			if cfg.PhaseFlush && len(cfg.Cores) > 0 {
-				if sys.Compiled() {
-					t.Fatal("phase-flush system compiled its streams; edge hooks are interleaving-sensitive")
-				}
-			} else if !sys.Compiled() {
+			if !sys.Compiled() {
 				t.Fatal("Config.Compile did not compile the streams")
 			}
 			got := sys.Run()
@@ -79,75 +75,156 @@ func TestCompiledResetReuse(t *testing.T) {
 	}
 }
 
-// TestCompileStreamsGating pins the explicit CompileStreams surface: it
-// refuses phase-flush systems, compiles everything else, and is idempotent.
+// TestCompileStreamsGating pins the explicit CompileStreams surface: every
+// system compiles — phase-flush mixes included, since their edges fire
+// where accesses are consumed — and a second call is a no-op.
 func TestCompileStreamsGating(t *testing.T) {
 	cfg := quickConfig(t, "Apache")
 	sys := NewSystem(cfg)
-	if !sys.Batchable() {
-		t.Fatal("plain system not batchable")
+	sys.CompileStreams(cfg.Warmup + cfg.Measure)
+	if !sys.Compiled() {
+		t.Fatal("CompileStreams did not compile a plain system")
 	}
-	if !sys.CompileStreams(cfg.Warmup + cfg.Measure) {
-		t.Fatal("CompileStreams refused a batchable system")
-	}
-	if !sys.CompileStreams(cfg.Warmup + cfg.Measure) {
-		t.Fatal("second CompileStreams not a no-op success")
+	first := sys.compiled[0]
+	sys.CompileStreams(cfg.Warmup + cfg.Measure)
+	if sys.compiled[0] != first {
+		t.Fatal("second CompileStreams recompiled the streams")
 	}
 
-	phm, err := workloads.ParseMix("DB2@700+Apache@900")
-	if err != nil {
-		t.Fatal(err)
-	}
-	phCores, err := phm.ForCores(cfg.Hier.Cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := cfg
-	pcfg.Cores = phCores
-	pcfg.PhaseFlush = true
-	pcfg.Prefetch = PV8
-	psys := NewSystem(pcfg)
-	if psys.Batchable() {
-		t.Fatal("phase-flush system claims to be batchable")
-	}
-	if psys.CompileStreams(pcfg.Warmup + pcfg.Measure) {
-		t.Fatal("CompileStreams accepted a phase-flush system")
-	}
-	// Phased WITHOUT flush has no edge hooks and must compile.
-	nfcfg := pcfg
-	nfcfg.PhaseFlush = false
-	nfsys := NewSystem(nfcfg)
-	if !nfsys.CompileStreams(nfcfg.Warmup + nfcfg.Measure) {
-		t.Fatal("CompileStreams refused a phased-no-flush system")
+	for _, flush := range []bool{true, false} {
+		pcfg := phasedFlushConfig(t, "DB2@700+Apache@900")
+		pcfg.PhaseFlush = flush
+		psys := NewSystem(pcfg)
+		psys.CompileStreams(pcfg.Warmup + pcfg.Measure)
+		if !psys.Compiled() {
+			t.Fatalf("CompileStreams did not compile a phased system (PhaseFlush=%v)", flush)
+		}
 	}
 }
 
-// TestStepBatchMatchesStep pins StepBatch against per-access stepping on a
-// single-core system (where batch order and round-robin order coincide).
-func TestStepBatchMatchesStep(t *testing.T) {
+// phasedFlushConfig is a small PV-8 run of the given mix with phase-flush
+// edges, the cost model and timing on, so an edge fired at the wrong
+// access moves predictor, proxy, cost and clock state alike.
+func phasedFlushConfig(t *testing.T, spec string) Config {
+	t.Helper()
+	m, err := workloads.ParseMix(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := quickConfig(t, "Apache")
-	cfg.Hier.Cores = 1
+	cfg.Warmup, cfg.Measure = 6_000, 8_000
+	cfg.Cores, err = m.ForCores(cfg.Hier.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Prefetch = PV8
+	cfg.PhaseFlush = true
 	cfg.Timing = true
-	const n = 8_000
+	cfg.Cost = timing.Config{Enabled: true}
+	return cfg
+}
 
-	a := NewSystem(cfg)
-	for i := 0; i < n; i++ {
-		a.Step(0)
+// stepPieces steps sys through pieces of StepAllN calls and returns the
+// statistics a Run would collect, plus every core's clock.
+func stepPieces(sys *System, pieces []int) (Result, []uint64) {
+	for _, k := range pieces {
+		sys.StepAllN(k)
 	}
+	var res Result
+	sys.foldPVResidual()
+	collectStats(sys, &res)
+	return res, append([]uint64(nil), sys.clock...)
+}
 
-	b := NewSystem(cfg)
-	accs := make([]trace.Access, n)
-	src := trace.NewGenerator(cfg.Workload.Params, cfg.Seed, 0)
-	for i := range accs {
-		accs[i] = src.Next()
+// stepOracle steps a live system access by access, round-robin, flushing
+// a phase-flush core's predictor when its trace.Phased stream is about to
+// draw the first access of a new phase: the edge positions come from the
+// stream itself, independently of the system's edge schedule.
+func stepOracle(sys *System, rounds int) (Result, []uint64) {
+	cur := make([]int, len(sys.gens))
+	for r := 0; r < rounds; r++ {
+		for c, g := range sys.gens {
+			if p, ok := g.(*trace.Phased); ok && sys.edges[c] != nil && p.Phase() != cur[c] {
+				cur[c] = p.Phase()
+				sys.foldPVResidualCore(c)
+				sys.preds[c].Reset()
+				sys.rebaseProxySnapshot(c)
+			}
+			sys.stepAccess(c, g.Next())
+		}
 	}
-	b.StepBatch(0, accs)
+	return stepPieces(sys, nil)
+}
 
-	if !reflect.DeepEqual(a.Hier.Stats, b.Hier.Stats) {
-		t.Fatalf("hierarchy stats diverge:\n%+v\nvs\n%+v", a.Hier.Stats, b.Hier.Stats)
+// TestPhaseEdgesSplitInvariant pins where phase-flush edges fire: at the
+// exact (round, core) position of each core's first access of a new
+// phase, however the run is split into StepAllN calls. A mix whose cores
+// switch at different rounds, with phases shorter than a batch, must match
+// a per-access oracle in one StepAllN call, and again when stepped in
+// pieces of 1, 7, batchLen, batchLen+3 accesses and one ending exactly on
+// an edge — on live and compiled streams, and after Reset.
+func TestPhaseEdgesSplitInvariant(t *testing.T) {
+	cfg := phasedFlushConfig(t, "DB2@500+Apache@500/Qry1@300+DB2@900/Apache/DB2@1000+Apache@200")
+	total := cfg.Warmup + cfg.Measure
+	oracle, oracleClock := stepOracle(NewSystem(cfg), total)
+	for _, compile := range []bool{false, true} {
+		ccfg := cfg
+		ccfg.Compile = compile
+		whole, wholeClock := stepPieces(NewSystem(ccfg), []int{total})
+		if !reflect.DeepEqual(whole, oracle) || !reflect.DeepEqual(wholeClock, oracleClock) {
+			t.Fatalf("compile=%v: StepAllN diverges from the per-access oracle:\n%+v\nvs\n%+v", compile, whole, oracle)
+		}
+
+		sys := NewSystem(ccfg)
+		if sys.edges == nil || sys.edges[2] != nil {
+			t.Fatal("edge schedules not built for exactly the phased cores")
+		}
+		for pass := 0; pass < 2; pass++ {
+			pieces := []int{1, 7, batchLen, batchLen + 3}
+			done := 0
+			for _, k := range pieces {
+				done += k
+			}
+			// A piece ending exactly on core 0's next edge: the flush must
+			// fire at the start of the following call.
+			onEdge := int(sys.edges[0].next) - done
+			for onEdge <= 0 {
+				onEdge += 500
+			}
+			pieces = append(pieces, onEdge, total-done-onEdge)
+			got, clock := stepPieces(sys, pieces)
+			if !reflect.DeepEqual(whole, got) || !reflect.DeepEqual(wholeClock, clock) {
+				t.Fatalf("compile=%v pass %d: split run %v diverges from one StepAllN call:\n%+v\nvs\n%+v",
+					compile, pass, pieces, whole, got)
+			}
+			sys.Reset()
+		}
 	}
-	if a.Clock(0) != b.Clock(0) {
-		t.Fatalf("clocks diverge: %d vs %d", a.Clock(0), b.Clock(0))
+}
+
+// TestRunSMARTSCompiledMatchesLive pins RunSMARTS's Compile path: the
+// compiled stream covers the whole plan and the result equals the live
+// run, on a plain and a phase-flush configuration.
+func TestRunSMARTSCompiledMatchesLive(t *testing.T) {
+	plan := SMARTSConfig{Samples: 4, DetailWarm: 300, Measure: 300, FastForward: 900}
+	plain := quickConfig(t, "DB2")
+	plain.Prefetch = PV8
+	plain.Warmup = 2_000
+	flush := phasedFlushConfig(t, "DB2@500+Apache@700")
+	flush.Warmup = 2_000
+	for name, cfg := range map[string]Config{"pv8": plain, "phased-pv8-flush": flush} {
+		t.Run(name, func(t *testing.T) {
+			live := RunSMARTS(cfg, plan)
+			ccfg := cfg
+			ccfg.Compile = true
+			got := RunSMARTS(ccfg, plan)
+			if !got.Config.Compile {
+				t.Fatal("RunSMARTS dropped the caller's Compile switch from Result.Config")
+			}
+			got.Config.Compile = false
+			if !reflect.DeepEqual(live, got) {
+				t.Fatalf("compiled SMARTS run diverges from live run:\n%+v\nvs\n%+v", live, got)
+			}
+		})
 	}
 }

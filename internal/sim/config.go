@@ -111,15 +111,13 @@ type Config struct {
 	Windows int
 
 	// Compile pre-materializes each core's access stream into a compiled
-	// binary trace (trace.Compile, PVA2) at build time and replays it
-	// through the batched step pipeline: stream production collapses to a
-	// chunk decode per core per batch instead of a generator call per
-	// access. Replay is bit-identical to the live generators — Signature
-	// deliberately excludes this switch, so compiled and uncompiled runs
-	// share cache keys. It is skipped automatically (falling back to live
-	// generators) when PhaseFlush ties stream production to predictor
-	// resets, and ignored by RunSMARTS, whose plan length the compiled
-	// stream would not cover.
+	// binary trace (trace.Compile, PVA2) at build time, Warmup + Measure
+	// accesses long, and replays it through the batched step loop: stream
+	// production collapses to a chunk decode per core per batch instead of
+	// generator calls. Replay is bit-identical to the live generators —
+	// Signature deliberately excludes this switch, so compiled and
+	// uncompiled runs share cache keys. Every wiring compiles, PhaseFlush
+	// included; RunSMARTS compiles a stream covering its whole plan.
 	Compile bool
 
 	// CoreParallel opts the batched step pipeline into deterministic
@@ -133,8 +131,8 @@ type Config struct {
 	// execution strategy: Signature deliberately excludes it, and it falls
 	// back to serial stepping automatically when the wiring needs
 	// cross-core work inside the local phase (Timing runs, shared
-	// predictor tables, on-chip-only PV, an inclusive L2, phase-flush edge
-	// hooks, single-core systems; see parallelEligible).
+	// predictor tables, on-chip-only PV, an inclusive L2, phase-flush
+	// edges, single-core systems; see parallelEligible).
 	CoreParallel bool
 
 	// Cost enables the passive cycle-approximate cost model

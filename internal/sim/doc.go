@@ -7,12 +7,12 @@
 // A System owns one instance of every layer and is the only place they are
 // wired together:
 //
-//	trace.Generator ──▶ System.Step ──▶ memsys.Hierarchy (L1/L2/memory)
-//	                        │                   ▲
-//	                        ▼                   │ PVRead / PVWriteback
-//	                  pv.Instance (per core)    │
-//	                        │                   │
-//	                        ▼                   │
+//	trace.Source ──▶ System.StepAllN ──▶ memsys.Hierarchy (L1/L2/memory)
+//	                        │                    ▲
+//	                        ▼                    │ PVRead / PVWriteback
+//	                  pv.Instance (per core)     │
+//	                        │                    │
+//	                        ▼                    │
 //	        family engine ──▶ core.Proxy ──▶ core.Table  (virtualized)
 //
 // Config selects the predictor through a pv.Spec — a registry name plus
@@ -21,6 +21,18 @@
 // registration) via the pv registry, places its PVTables in reserved
 // physical ranges (pv.TableStart), and classifies the resulting traffic.
 // Adding a predictor family requires no change in this package.
+//
+// # Stepping
+//
+// StepAllN is the one way a System steps. It reads a batch of accesses per
+// core from the core's trace.Source — a live Generator or Phased stream,
+// or a CompiledReplayer when Config.Compile is set — and consumes the
+// batches round-robin, one access per core per round. Phase-flush edges
+// (Config.PhaseFlush) fire in that loop, immediately before a core's
+// first access of its new phase, so stream production stays free of side
+// effects and every wiring batches and compiles. Config.CoreParallel
+// swaps in the two-phase parallel stepper (parallel.go) where the wiring
+// allows it.
 //
 // # Running
 //

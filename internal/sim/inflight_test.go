@@ -24,9 +24,7 @@ func TestNoInflightGrowthWhenDetailOff(t *testing.T) {
 	sys := NewSystem(cfg)
 
 	sys.SetDetail(false)
-	for i := 0; i < 30_000; i++ {
-		sys.StepAll()
-	}
+	sys.StepAllN(30_000)
 	if n := inflightEntries(sys); n != 0 {
 		t.Fatalf("detail-off stepping leaked %d in-flight prefetch entries", n)
 	}
@@ -36,7 +34,7 @@ func TestNoInflightGrowthWhenDetailOff(t *testing.T) {
 	sys.SetDetail(true)
 	seen := 0
 	for i := 0; i < 5_000 && seen == 0; i++ {
-		sys.StepAll()
+		sys.StepAllN(1)
 		seen = inflightEntries(sys)
 	}
 	if seen == 0 {

@@ -13,8 +13,8 @@ import (
 // This file is the deterministic two-phase parallel stepper behind
 // Config.CoreParallel. Each batch of up to batchLen rounds runs as:
 //
-//  1. parallel stream production — every core decodes (compiled) or
-//     generates (live) its next k accesses into its own batch buffer;
+//  1. parallel stream production — every core reads its next k accesses,
+//     compiled or live, into its own batch buffer;
 //  2. a serial scan of the decoded buffers building the batch's
 //     remote-invalidation schedule (every store, in round-robin order);
 //  3. a parallel local phase — every core performs its own accesses
@@ -81,8 +81,7 @@ func (b *routedBackend) Write(a memsys.Addr) memsys.Result {
 
 // parallelEligible reports whether this wiring can run the two-phase
 // stepper with byte-identical output. Ineligible wirings fall back to
-// serial silently, mirroring how CompileStreams falls back for
-// non-Batchable systems:
+// serial silently:
 //   - single-core systems have nothing to parallelize, and >8 cores would
 //     overflow the 3-bit actor field of EffectKey;
 //   - Timing feeds access latencies back into per-core clocks, and those
@@ -93,8 +92,9 @@ func (b *routedBackend) Write(a memsys.Addr) memsys.Result {
 //     evictions, which commit after later local-phase lookups already ran;
 //   - an inclusive L2 back-invalidates other cores' L1s from commit-time
 //     fills, breaking local-phase L1 privacy;
-//   - phase-flush edge hooks (non-Batchable) tie stream production to
-//     predictor resets at exact access positions.
+//   - phase-flush edges reset a core's predictor (and fold its proxy
+//     counters) at exact (round, core) positions, which the local phase
+//     and the per-batch commit fold do not reproduce.
 func (s *System) parallelEligible() bool {
 	cfg := s.cfg
 	cores := s.Hier.Config().Cores
@@ -103,7 +103,7 @@ func (s *System) parallelEligible() bool {
 		!cfg.Prefetch.SharedTable &&
 		!(cfg.Prefetch.OnChipOnly && cfg.Prefetch.Mode == pv.Virtualized && cfg.Prefetch.Enabled()) &&
 		!s.Hier.Config().InclusiveL2 &&
-		s.Batchable()
+		s.edges == nil
 }
 
 // SetCoreParallel switches the system's CoreParallel execution strategy on
@@ -113,8 +113,11 @@ func (s *System) parallelEligible() bool {
 func (s *System) SetCoreParallel(on bool) bool {
 	s.cfg.CoreParallel = on
 	s.coreParallel = on && s.parallelEligible()
-	if s.coreParallel {
-		s.ensureParallelBuffers()
+	if s.coreParallel && s.fx == nil {
+		s.fx = make([]*memsys.Effects, len(s.gens))
+		for c := range s.fx {
+			s.fx[c] = &memsys.Effects{}
+		}
 	}
 	return s.coreParallel
 }
@@ -122,24 +125,6 @@ func (s *System) SetCoreParallel(on bool) bool {
 // CoreParallelActive reports whether StepAllN runs the two-phase parallel
 // stepper (tests assert both engagement and fallback).
 func (s *System) CoreParallelActive() bool { return s.coreParallel }
-
-// ensureParallelBuffers allocates the per-core batch buffers (shared with
-// the compiled path) and effect logs the parallel stepper needs.
-func (s *System) ensureParallelBuffers() {
-	n := s.Hier.Config().Cores
-	if s.batch == nil {
-		s.batch = make([][]trace.Access, n)
-		for c := range s.batch {
-			s.batch[c] = make([]trace.Access, batchLen)
-		}
-	}
-	if s.fx == nil {
-		s.fx = make([]*memsys.Effects, n)
-		for c := range s.fx {
-			s.fx[c] = &memsys.Effects{}
-		}
-	}
-}
 
 // installEffects routes every core's shared-state operations into its
 // Effects log; clearEffects restores direct execution. The local-phase
@@ -164,11 +149,10 @@ func (s *System) clearEffects() {
 	}
 }
 
-// dryStreamError formats the compiled-stream underrun panic; StepAllN's
-// serial path and the parallel pre-check share it so the failure mode has
-// one message. CheckStreams catches the misuse descriptively before any
-// stepping; this panic is the backstop for callers stepping past the
-// length they compiled.
+// dryStreamError formats the compiled-stream underrun panic of fill.
+// CheckStreams catches the misuse descriptively before any stepping; this
+// panic is the backstop for callers stepping past the length they
+// compiled.
 func dryStreamError(core, want, got int) string {
 	return fmt.Sprintf("sim: compiled stream for core %d ran dry %d accesses short", core, want-got)
 }
@@ -232,37 +216,10 @@ func (s *System) stepAllNParallel(n int) {
 	defer s.clearEffects()
 	var wg sync.WaitGroup
 	for n > 0 {
-		k := n
-		if k > batchLen {
-			k = batchLen
-		}
-		if s.compiled != nil {
-			// Pre-check on the coordinator so an underrun panics here, with
-			// the serial path's message, never inside a worker goroutine.
-			for c := 0; c < cores; c++ {
-				if rem := s.compiled[c].Remaining(); rem < uint64(k) {
-					panic(dryStreamError(c, k, int(rem)))
-				}
-			}
-		}
+		k := min(n, batchLen)
 
 		// Phase 1: parallel stream production into the per-core buffers.
-		wg.Add(cores)
-		for c := 0; c < cores; c++ {
-			go func(c int) {
-				defer wg.Done()
-				if s.compiled != nil {
-					s.compiled[c].ReadBatch(s.batch[c][:k])
-					return
-				}
-				g := s.gens[c]
-				b := s.batch[c]
-				for i := 0; i < k; i++ {
-					b[i] = g.Next()
-				}
-			}(c)
-		}
-		wg.Wait()
+		s.fill(k, true)
 
 		// Phase 2: the remote-invalidation schedule, in serial order.
 		s.sched = s.sched[:0]
@@ -295,6 +252,7 @@ func (s *System) stepAllNParallel(n int) {
 
 		// Phase 4: ordered commit.
 		s.commitBatch(k)
+		s.round += uint64(k)
 		n -= k
 	}
 }

@@ -50,19 +50,17 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 		panic(err)
 	}
 	cfg.Timing = true
-	// The SMARTS plan, not cfg.Measure, sets the run length, so a compiled
-	// stream of Warmup+Measure accesses would run dry mid-plan; sampling
-	// runs always drive live generators. CoreParallel is likewise cleared:
-	// sampling is a timing mode, which the parallel stepper does not
-	// cover, and the plan steps per-access (StepAll) anyway.
-	cfg.Compile = false
+	// Sampling is a timing mode, which the parallel stepper does not cover.
 	cfg.CoreParallel = false
-	sys := NewSystem(cfg)
+	// The SMARTS plan, not cfg.Measure, sets the run length, so the system
+	// is built with Measure covering the plan: a compiled stream then holds
+	// every access the plan steps.
+	build := cfg
+	build.Measure = plan.TotalAccesses()
+	sys := NewSystem(build)
 
 	sys.SetDetail(false)
-	for i := 0; i < cfg.Warmup; i++ {
-		sys.StepAll()
-	}
+	sys.StepAllN(cfg.Warmup)
 	sys.ResetStats()
 
 	n := sys.Hier.Config().Cores
@@ -70,13 +68,9 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 	var totalInstr, maxCycles float64
 	for s := 0; s < plan.Samples; s++ {
 		sys.SetDetail(true)
-		for i := 0; i < plan.DetailWarm; i++ {
-			sys.StepAll()
-		}
+		sys.StepAllN(plan.DetailWarm)
 		snapshotsInto(sys, sys.snapPrev)
-		for i := 0; i < plan.Measure; i++ {
-			sys.StepAll()
-		}
+		sys.StepAllN(plan.Measure)
 		snapshotsInto(sys, sys.snapCur)
 
 		var instr, cyc float64
@@ -94,9 +88,7 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 		}
 
 		sys.SetDetail(false)
-		for i := 0; i < plan.FastForward; i++ {
-			sys.StepAll()
-		}
+		sys.StepAllN(plan.FastForward)
 	}
 
 	res := Result{Config: cfg, WindowIPC: windowIPC}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	pvcore "pvsim/internal/core"
 	"pvsim/internal/cpu"
@@ -22,8 +23,9 @@ type System struct {
 	Hier *memsys.Hierarchy
 	// gens holds each core's access stream: a plain *trace.Generator for
 	// steady (single-phase) cores, a *trace.Phased for cores whose workload
-	// switches at access-count boundaries. Heterogeneous mixes give
-	// different cores different parameter sets through Config.Cores.
+	// switches at access-count boundaries, a *trace.CompiledReplayer after
+	// CompileStreams. Heterogeneous mixes give different cores different
+	// parameter sets through Config.Cores.
 	gens  []trace.Source
 	preds []pv.Instance // nil entries when Prefetch is the baseline
 	cores []*cpu.Core
@@ -58,18 +60,21 @@ type System struct {
 	// functional fast-forward gaps. Plain Run leaves it on throughout.
 	detail bool
 
-	// hasEdgeHooks records that at least one core's phase edges mutate
-	// predictor state (Config.PhaseFlush on a multi-phase core). Such a
-	// system cannot run stream production ahead of consumption — the flush
-	// must land between the exact accesses it lands between in per-access
-	// stepping — so batching and compilation are disabled for it.
-	hasEdgeHooks bool
+	// edges holds each core's phase-flush schedule (Config.PhaseFlush on a
+	// multi-phase core with a predictor; nil entries elsewhere, and a nil
+	// slice when no core flushes). round counts the accesses every core
+	// has consumed since construction or Reset: the batched loop steps all
+	// cores in lockstep, so one counter places every core's edges.
+	edges []*phaseEdges
+	round uint64
 
 	// compiled holds the per-core compiled replayers after CompileStreams
 	// swapped them in (nil on the live-generator path), and batch the
-	// reusable per-core decode buffers of the batched step loop.
+	// reusable per-core stream buffers of the batched step loop, with
+	// filled the count each core's last ReadBatch returned.
 	compiled []*trace.CompiledReplayer
 	batch    [][]trace.Access
+	filled   []int
 
 	// coreParallel is the effective CoreParallel switch: the config asked
 	// for it and the wiring is eligible (parallelEligible); StepAllN then
@@ -86,6 +91,21 @@ type System struct {
 	// stepper (SetPipelineSched); nil/empty in production runs.
 	pipeSched PipelineSched
 	pipeFault string
+}
+
+// phaseEdges is one phase-flush core's edge schedule: its phase lengths,
+// the phase it is in, and the round at which its next phase starts — the
+// same positions trace.Phased switches its stream at.
+type phaseEdges struct {
+	lens  []int
+	phase int
+	next  uint64
+}
+
+// rearm returns the schedule to the start of phase 0.
+func (e *phaseEdges) rearm() {
+	e.phase = 0
+	e.next = uint64(e.lens[0])
 }
 
 // prefetchSink routes one core's predictions into the hierarchy and the
@@ -142,6 +162,11 @@ func NewSystem(cfg Config) *System {
 		snapPrev:  make([]cpu.Snapshot, n),
 		snapCur:   make([]cpu.Snapshot, n),
 		backends:  make([]*routedBackend, n),
+		batch:     make([][]trace.Access, n),
+		filled:    make([]int, n),
+	}
+	for c := range sys.batch {
+		sys.batch[c] = make([]trace.Access, batchLen)
 	}
 	if cfg.Cost.Enabled {
 		params := cfg.Cost.Params
@@ -170,12 +195,10 @@ func NewSystem(cfg Config) *System {
 	shared := map[string]any{}
 	for c := 0; c < n; c++ {
 		phases := cfg.phasesFor(c)
-		var phased *trace.Phased
 		if len(phases) == 1 {
 			sys.gens[c] = trace.NewGenerator(phases[0].Params, cfg.Seed, c)
 		} else {
-			phased = trace.NewPhased(phases, cfg.Seed, c)
-			sys.gens[c] = phased
+			sys.gens[c] = trace.NewPhased(phases, cfg.Seed, c)
 		}
 		sys.inflight[c] = make(map[memsys.Addr]uint64)
 		// The CPI accounting ratios are per-core constants taken from the
@@ -229,20 +252,16 @@ func NewSystem(cfg Config) *System {
 		sys.Hier.SetL1DEvictHook(c, func(addr memsys.Addr, _ memsys.EvictCause) {
 			inst.OnEvict(sys.clock[c], addr)
 		})
-		if phased != nil && cfg.PhaseFlush {
-			// Context-switch model: the OS flushes this core's predictor
-			// state — engine, tables, and (virtualized) the backing PVTable —
-			// at every phase edge. pv/pvtest pins that a Reset instance is
-			// bit-identical to a fresh one, so the flush is exactly a cold
-			// start. The cost fold attributes the core's un-folded proxy
-			// movement first (Reset destroys the counters) and rebases its
-			// snapshot after, so flush-run cost accounting stays exact.
-			phased.SetEdgeHook(func(int) {
-				sys.foldPVResidualCore(c)
-				inst.Reset()
-				sys.rebaseProxySnapshot(c)
-			})
-			sys.hasEdgeHooks = true
+		if len(phases) > 1 && cfg.PhaseFlush {
+			if sys.edges == nil {
+				sys.edges = make([]*phaseEdges, n)
+			}
+			e := &phaseEdges{lens: make([]int, len(phases))}
+			for i, ph := range phases {
+				e.lens[i] = ph.Accesses
+			}
+			e.rearm()
+			sys.edges[c] = e
 		}
 	}
 
@@ -264,30 +283,19 @@ func NewSystem(cfg Config) *System {
 	return sys
 }
 
-// Batchable reports whether stream production may run ahead of
-// consumption on this system: false when a phase-flush edge hook ties
-// production to predictor resets (the flush must land between the exact
-// accesses it lands between), true otherwise.
-func (s *System) Batchable() bool { return !s.hasEdgeHooks }
-
 // Compiled reports whether the cores run compiled traces.
 func (s *System) Compiled() bool { return s.compiled != nil }
 
 // CompileStreams materializes every core's access stream into a compiled
 // binary trace of n accesses (trace.Compile) and swaps zero-alloc batch
 // replayers in as the cores' sources. Replay is bit-identical to the live
-// generators; Run then steps through the batched pipeline. Call it on a
-// pristine system — freshly built or Reset — and only when n covers every
-// access the caller will step (Run consumes Warmup + Measure per core);
-// a compiled stream is finite and stepping past its end panics. Returns
-// false, leaving the system untouched, when the system is not Batchable;
-// compiling twice is a no-op.
-func (s *System) CompileStreams(n int) bool {
-	if !s.Batchable() {
-		return false
-	}
+// generators. Call it on a pristine system — freshly built or Reset — and
+// only when n covers every access the caller will step (Run consumes
+// Warmup + Measure per core); a compiled stream is finite and stepping
+// past its end panics. Compiling twice is a no-op.
+func (s *System) CompileStreams(n int) {
 	if s.compiled != nil {
-		return true
+		return
 	}
 	reps := make([]*trace.CompiledReplayer, len(s.gens))
 	for c := range s.gens {
@@ -300,11 +308,6 @@ func (s *System) CompileStreams(n int) bool {
 		s.gens[c] = reps[c]
 	}
 	s.compiled = reps
-	s.batch = make([][]trace.Access, len(s.gens))
-	for c := range s.batch {
-		s.batch[c] = make([]trace.Access, batchLen)
-	}
-	return true
 }
 
 // CheckStreams verifies up front that every core's compiled stream holds
@@ -369,8 +372,7 @@ func (s *System) foldPVResidual() {
 }
 
 // foldPVResidualCore folds one core's proxy movement since its snapshot;
-// the phase-edge flush hook calls it before Instance.Reset destroys the
-// counters.
+// flushPhase calls it before Instance.Reset destroys the counters.
 func (s *System) foldPVResidualCore(c int) {
 	if s.tm == nil {
 		return
@@ -406,27 +408,8 @@ func (s *System) resyncProxySnapshots() {
 	}
 }
 
-// Step advances core c by one memory instruction: instruction fetch, demand
-// access, timing accounting and predictor training.
-func (s *System) Step(c int) {
-	s.stepAccess(c, s.gens[c].Next())
-}
-
-// StepBatch advances core c through accs in order, performing exactly the
-// per-access work of Step for each — with stream production already done,
-// so a batch pays one call into the stream instead of an interface
-// dispatch per access. On a multi-core system the caller must interleave
-// batches across cores at access granularity to preserve the global
-// round-robin traffic order on the shared L2 (StepAllN does); handing one
-// core a long batch while its peers wait reorders that traffic.
-func (s *System) StepBatch(c int, accs []trace.Access) {
-	for i := range accs {
-		s.stepAccess(c, accs[i])
-	}
-}
-
-// stepAccess is the per-access body of Step: everything after stream
-// production.
+// stepAccess advances core c by one memory instruction: instruction fetch,
+// demand access, timing accounting and predictor training.
 func (s *System) stepAccess(c int, acc trace.Access) {
 	now := s.clock[c]
 	s.Hier.Tick(now)
@@ -484,53 +467,109 @@ func (s *System) pruneInflight(c int) {
 	}
 }
 
-// StepAll advances every core one access, round-robin. Cores interleave at
-// access granularity, approximating concurrent execution on the shared L2.
-func (s *System) StepAll() {
-	for c := 0; c < s.Hier.Config().Cores; c++ {
-		s.Step(c)
-	}
-}
+// batchLen is the step loop's per-core buffer size, shared by every
+// stepping path. Every system holds its buffers (cores x batchLen x 24 B),
+// so the size trades memory per pooled system against per-batch overhead:
+// one ReadBatch call per core, and the parallel stepper's goroutine
+// hand-offs. A compiled replayer keeps its decode position across calls,
+// so a batch need not align with the trace's chunks.
+const batchLen = 1024
 
-// batchLen is the batched step loop's per-core buffer size; it matches the
-// compiled trace chunk length so each refill is one whole-chunk decode.
-const batchLen = trace.DefaultChunkLen
-
-// StepAllN advances every core by n accesses. On a compiled system it
-// decodes per-core batches up front and interleaves consumption from the
-// buffers — the exact global round-robin access order of n StepAll calls,
-// with per-access stream dispatch amortized into one chunk decode per core
-// per batch — so results are bit-identical to n StepAll calls on either
-// path (TestCompiledRunBitIdentical pins this).
+// StepAllN advances every core by n accesses, round-robin: cores
+// interleave at access granularity, approximating concurrent execution on
+// the shared L2. It reads per-core batches of at most batchLen accesses
+// from the streams — live or compiled alike — and interleaves consumption
+// from the buffers, so per-access stream dispatch is amortized into one
+// ReadBatch call per core per batch, and no stream is read past the n
+// accesses asked for. Results do not depend on how a run is split into
+// StepAllN calls.
 func (s *System) StepAllN(n int) {
 	if s.coreParallel {
 		s.stepAllNParallel(n)
 		return
 	}
-	if s.compiled == nil {
-		for i := 0; i < n; i++ {
-			s.StepAll()
-		}
-		return
-	}
-	cores := s.Hier.Config().Cores
 	for n > 0 {
-		k := n
-		if k > batchLen {
-			k = batchLen
+		k := min(n, batchLen)
+		s.fill(k, false)
+		s.stepBatch(k)
+		n -= k
+	}
+}
+
+// fill reads the next k accesses of every core's stream into its batch
+// buffer — concurrently, one goroutine per core, when parallel is set —
+// and panics on the calling goroutine when a compiled stream runs dry.
+func (s *System) fill(k int, parallel bool) {
+	if !parallel {
+		for c, g := range s.gens {
+			s.filled[c] = g.ReadBatch(s.batch[c][:k])
 		}
-		for c := 0; c < cores; c++ {
-			if got := s.compiled[c].ReadBatch(s.batch[c][:k]); got < k {
-				panic(dryStreamError(c, k, got))
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(s.gens))
+		for c := range s.gens {
+			go func(c int) {
+				defer wg.Done()
+				s.filled[c] = s.gens[c].ReadBatch(s.batch[c][:k])
+			}(c)
+		}
+		wg.Wait()
+	}
+	for c, got := range s.filled {
+		if got < k {
+			panic(dryStreamError(c, k, got))
+		}
+	}
+}
+
+// stepBatch steps rounds [0, k) of the filled batch buffers in round-robin
+// order, firing each phase-flush edge immediately before its core's first
+// access of the new phase. Rounds without an edge run the plain loop;
+// phases shorter than a batch just split it into more segments.
+func (s *System) stepBatch(k int) {
+	cores := len(s.batch)
+	base := s.round
+	for i := 0; i < k; {
+		end := k
+		for _, e := range s.edges {
+			if e != nil && e.next < base+uint64(end) {
+				end = int(e.next - base)
 			}
 		}
-		for i := 0; i < k; i++ {
+		for ; i < end; i++ {
 			for c := 0; c < cores; c++ {
 				s.stepAccess(c, s.batch[c][i])
 			}
 		}
-		n -= k
+		if i == k {
+			break
+		}
+		// Round i holds at least one core's phase edge.
+		for c := 0; c < cores; c++ {
+			if e := s.edges[c]; e != nil && e.next == base+uint64(i) {
+				s.flushPhase(c)
+			}
+			s.stepAccess(c, s.batch[c][i])
+		}
+		i++
 	}
+	s.round = base + uint64(k)
+}
+
+// flushPhase is the context-switch model at core c's phase edge: the OS
+// flushes the core's predictor state — engine, tables, and (virtualized)
+// the backing PVTable. pv/pvtest pins that a Reset instance is
+// bit-identical to a fresh one, so the flush is exactly a cold start. The
+// cost fold attributes the core's un-folded proxy movement first (Reset
+// destroys the counters) and rebases its snapshot after, so flush-run cost
+// accounting stays exact.
+func (s *System) flushPhase(c int) {
+	s.foldPVResidualCore(c)
+	s.preds[c].Reset()
+	s.rebaseProxySnapshot(c)
+	e := s.edges[c]
+	e.phase = (e.phase + 1) % len(e.lens)
+	e.next += uint64(e.lens[e.phase])
 }
 
 // ResetStats zeroes every statistic (hierarchy, predictors, proxies) in
@@ -567,7 +606,11 @@ func (s *System) Reset() {
 			// sharing every core resets the same table, which is idempotent.
 			s.preds[c].Reset()
 		}
+		if e := s.edges; e != nil && e[c] != nil {
+			e[c].rearm()
+		}
 	}
+	s.round = 0
 	if s.tm != nil {
 		s.tm.Reset()
 		s.resyncProxySnapshots()

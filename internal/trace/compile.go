@@ -31,8 +31,8 @@ import (
 // mmap/seek-friendly: a consumer can jump to record i by starting at chunk
 // i/chunkLen and decoding forward at most chunkLen-1 records.
 //
-// Records use a length-tagged group encoding rather than PVA1's varints,
-// chosen for decode speed: one tag byte carries the write flag (bit 7) and
+// Records use a length-tagged group encoding rather than varints, chosen
+// for decode speed: one tag byte carries the write flag (bit 7) and
 // the byte lengths of both fields (bits 5-3: len(pc)-1, bits 2-0:
 // len(addr)-1), followed by the two fields as minimal little-endian byte
 // strings. The decoder learns both field lengths from a single byte and
@@ -43,9 +43,8 @@ import (
 const compiledMagic = "PVA2"
 
 // DefaultChunkLen is the records-per-chunk granularity Compile uses when the
-// caller passes 0. Batches decode a chunk at a time, so this is also the
-// natural batch size of the replay fast path; 4096 keeps a chunk's decode
-// state inside L1 while amortizing the sync-point overhead to noise.
+// caller passes 0; 4096 amortizes the sync-point overhead to noise while
+// keeping a seek to any record within 4095 decodes.
 const DefaultChunkLen = 4096
 
 // Compiled is one core's access stream materialized into the PVA2 block
@@ -89,7 +88,8 @@ func (t *Compiled) chunkRecords(i int) uint64 {
 // Compile materializes n accesses from s into the PVA2 block format.
 // chunkLen is the sync-point period (0 = DefaultChunkLen); meta is a
 // free-form provenance string stored alongside the data. A negative n is an
-// error, mirroring Record.
+// error: the count header is unsigned, so letting it through would promise
+// ~2^64 records to every reader of the file.
 func Compile(s Stream, n int, chunkLen int, meta string) (*Compiled, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("trace: compile: negative access count %d", n)
@@ -118,6 +118,9 @@ func Compile(s Stream, n int, chunkLen int, meta string) (*Compiled, error) {
 	}
 	return t, nil
 }
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendGroup appends one length-tagged record: the tag byte (write flag in
 // bit 7, len(a)-1 in bits 5-3, len(b)-1 in bits 2-0) followed by a and b as
@@ -230,11 +233,11 @@ func parseCompiled(b []byte) (*Compiled, error) {
 		}
 		return nil
 	}
+	if len(b) >= 4 && string(b[:4]) != compiledMagic {
+		return nil, fmt.Errorf("trace: bad magic %q: not a %s compiled trace", b[:4], compiledMagic)
+	}
 	if err := need(4 + 8 + 4 + 4); err != nil {
 		return nil, err
-	}
-	if string(b[:4]) != compiledMagic {
-		return nil, fmt.Errorf("trace: bad compiled magic %q", b[:4])
 	}
 	pos = 4
 	t := &Compiled{}
@@ -321,11 +324,11 @@ func (t *Compiled) Replayer() *CompiledReplayer {
 }
 
 // CompiledReplayer re-plays a compiled trace with zero allocation. It
-// implements Source (Next/Reset), so sim.System drives it exactly like a
-// live Generator, and BatchReader, so the batched step pipeline decodes a
-// chunk's worth of accesses at a time. Next panics past the end of the
-// trace (the length is known up front via Len); ReadBatch and ReadNext
-// return short counts / errors instead.
+// implements Source, so sim.System drives it exactly like a live
+// Generator, and the batched step loop decodes a chunk's worth of accesses
+// per ReadBatch call. Next panics past the end of the trace (the length is
+// known up front via Len); ReadBatch and ReadNext return short counts /
+// errors instead.
 type CompiledReplayer struct {
 	t        *Compiled
 	pos      int    // byte position in t.data

@@ -144,21 +144,14 @@ func TestCompiledWriteReadFile(t *testing.T) {
 	}
 }
 
-// TestCompileNegativeCount pins the Record/Compile negative-count guard.
+// TestCompileNegativeCount pins the Compile negative-count guard.
 func TestCompileNegativeCount(t *testing.T) {
-	if _, err := Compile(NewGenerator(compileParams(), 1, 0), -1, 0, ""); err == nil {
+	_, err := Compile(NewGenerator(compileParams(), 1, 0), -1, 0, "")
+	if err == nil {
 		t.Fatal("Compile(-1) succeeded; want error")
 	}
-	var buf bytes.Buffer
-	err := Record(NewGenerator(compileParams(), 1, 0), -1, &buf)
-	if err == nil {
-		t.Fatal("Record(-1) succeeded; want error")
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("Record(-1) wrote %d bytes before failing", buf.Len())
-	}
 	if !strings.Contains(err.Error(), "negative") {
-		t.Fatalf("Record(-1) error %q does not mention the negative count", err)
+		t.Fatalf("Compile(-1) error %q does not mention the negative count", err)
 	}
 }
 
@@ -198,30 +191,5 @@ func TestReadCompiledRejectsCorrupt(t *testing.T) {
 	bad = append(append([]byte(nil), good...), 0xAB)
 	if _, err := ReadCompiled(bytes.NewReader(bad)); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-}
-
-// TestCompiledMatchesRecorded pins PVA1/PVA2 agreement: compiling a stream
-// and recording it yield the same accesses.
-func TestCompiledMatchesRecorded(t *testing.T) {
-	const n = 2000
-	var buf bytes.Buffer
-	if err := Record(NewGenerator(compileParams(), 9, 3), n, &buf); err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewReplayer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := Compile(NewGenerator(compileParams(), 9, 3), n, 0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := ct.Replayer()
-	for i := 0; i < n; i++ {
-		x, y := rp.Next(), cp.Next()
-		if x != y {
-			t.Fatalf("access %d: recorded %+v compiled %+v", i, x, y)
-		}
 	}
 }

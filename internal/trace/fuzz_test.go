@@ -21,12 +21,12 @@ func (s *sliceStream) Next() Access {
 	return a
 }
 
-// FuzzTraceRoundTrip exercises both trace codecs from both sides. The
+// FuzzTraceRoundTrip exercises the PVA2 trace codec from both sides. The
 // input bytes are used twice: first as an arbitrary access sequence that
-// must round-trip bit-exactly through Record→Replayer and
-// Compile→CompiledReplayer (including a file serialization), then as a raw
-// candidate trace file that both parsers must reject or accept without
-// ever panicking — the truncated/corrupt-input error paths.
+// must round-trip bit-exactly through Compile→CompiledReplayer (including
+// a file serialization), then as a raw candidate trace file that the
+// parser must reject or accept without ever panicking — the
+// truncated/corrupt-input error paths.
 func FuzzTraceRoundTrip(f *testing.F) {
 	gen := func(seed uint64, n int) []byte {
 		var buf bytes.Buffer
@@ -67,27 +67,6 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		var recorded bytes.Buffer
-		if err := Record(&sliceStream{accs: accs}, n, &recorded); err != nil {
-			t.Fatalf("Record: %v", err)
-		}
-		rp, err := NewReplayer(bytes.NewReader(recorded.Bytes()))
-		if err != nil {
-			t.Fatalf("NewReplayer on own recording: %v", err)
-		}
-		for i, want := range accs {
-			got, err := rp.ReadNext()
-			if err != nil {
-				t.Fatalf("recorded access %d: %v", i, err)
-			}
-			if got != want {
-				t.Fatalf("recorded access %d: got %+v want %+v", i, got, want)
-			}
-		}
-		if _, err := rp.ReadNext(); err == nil {
-			t.Fatal("Replayer read past end without error")
-		}
-
 		ct, err := Compile(&sliceStream{accs: accs}, n, int(chunk), "fuzz")
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
@@ -122,16 +101,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Side 2: data as a raw candidate trace file — parsers must never
-		// panic, and a Replayer over arbitrary accepted PVA1 input must
-		// error (not panic) when the stream runs dry.
-		if p, err := NewReplayer(bytes.NewReader(data)); err == nil {
-			for i := 0; i < 4096 && p.Remaining() > 0; i++ {
-				if _, err := p.ReadNext(); err != nil {
-					break
-				}
-			}
-		}
+		// Side 2: data as a raw candidate trace file — the parser must
+		// never panic.
 		if ct, err := ReadCompiled(bytes.NewReader(data)); err == nil {
 			// Validation accepted it: full replay must be panic-free and
 			// yield exactly Len accesses.

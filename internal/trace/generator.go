@@ -291,7 +291,7 @@ func (g *Generator) refillPatternEpisode(e *episode) {
 	*e = episode{pc: pcAddr(pcIdx), base: base, order: order, first: true, shared: shared}
 }
 
-// ReadBatch implements BatchReader by drawing len(dst) accesses; a
+// ReadBatch implements Source by drawing len(dst) accesses; a
 // generator never runs dry, so the count is always len(dst).
 func (g *Generator) ReadBatch(dst []Access) int {
 	for i := range dst {

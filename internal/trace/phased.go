@@ -2,12 +2,17 @@ package trace
 
 import "fmt"
 
-// Source is a Stream that can be rewound to its beginning. Generator and
-// Phased both implement it; sim.System drives its per-core streams through
-// this interface so a core runs a steady workload or a phased one with the
-// same wiring.
+// Source is a Stream that can be read in batches and rewound to its
+// beginning. Generator, Phased and CompiledReplayer implement it;
+// sim.System drives its per-core streams through this interface so a core
+// runs a steady workload, a phased one or a compiled trace with the same
+// wiring.
 type Source interface {
 	Stream
+	// ReadBatch fills dst from the stream and returns how many accesses it
+	// wrote; a short count means a finite stream is exhausted. It must
+	// allocate nothing: the batched step loop reuses one dst per core.
+	ReadBatch(dst []Access) int
 	Reset()
 }
 
@@ -55,10 +60,6 @@ type Phased struct {
 	gens   []*Generator
 	cur    int
 	left   int
-	// edge, when set, runs at every phase boundary with the index of the
-	// phase about to start. sim.System uses it to flush predictor state at
-	// context-switch edges (Config.PhaseFlush).
-	edge func(next int)
 }
 
 // NewPhased builds core's phased stream under the given seed. Every phase
@@ -80,13 +81,8 @@ func NewPhased(phases []Phase, seed uint64, core int) *Phased {
 	return p
 }
 
-// SetEdgeHook installs fn to run at every phase boundary, immediately
-// before the first access of the phase it is handed the index of.
-func (p *Phased) SetEdgeHook(fn func(next int)) { p.edge = fn }
-
 // Phase returns the index of the phase the next access will be drawn from
-// (the switch itself is performed lazily inside Next, so the edge hook runs
-// immediately before the new phase's first access).
+// (the switch itself is performed lazily, when that access is drawn).
 func (p *Phased) Phase() int {
 	if len(p.phases) > 1 && p.left <= 0 {
 		return (p.cur + 1) % len(p.phases)
@@ -98,19 +94,38 @@ func (p *Phased) Phase() int {
 // under.
 func (p *Phased) Params() Params { return p.phases[p.Phase()].Params }
 
-// Next returns the next access, switching phases when the active phase's
-// budget is spent. The switch — and the edge hook — happen before the
-// first access of the new phase is drawn.
-func (p *Phased) Next() Access {
+// advance switches to the next phase when the active phase's budget is
+// spent, before the first access of the new phase is drawn.
+func (p *Phased) advance() {
 	if len(p.phases) > 1 && p.left <= 0 {
 		p.cur = (p.cur + 1) % len(p.phases)
 		p.left = p.phases[p.cur].Accesses
-		if p.edge != nil {
-			p.edge(p.cur)
-		}
 	}
+}
+
+// Next returns the next access, switching phases when the active phase's
+// budget is spent.
+func (p *Phased) Next() Access {
+	p.advance()
 	p.left--
 	return p.gens[p.cur].Next()
+}
+
+// ReadBatch fills dst with exactly the accesses len(dst) Next calls would
+// return, one generator batch per phase segment; a phased stream never
+// runs dry, so the count is always len(dst).
+func (p *Phased) ReadBatch(dst []Access) int {
+	for i := 0; i < len(dst); {
+		p.advance()
+		k := len(dst) - i
+		if len(p.phases) > 1 && k > p.left {
+			k = p.left
+		}
+		p.gens[p.cur].ReadBatch(dst[i : i+k])
+		p.left -= k
+		i += k
+	}
+	return len(dst)
 }
 
 // Reset rewinds the stream to its start: phase 0, full budget, every

@@ -68,19 +68,43 @@ func TestPhasedSwitchesAndResumes(t *testing.T) {
 	}
 }
 
-// TestPhasedEdgeHook pins when and with what the boundary hook fires: once
-// per switch, before the first access of the next phase, cycling 1,0,1,0...
-func TestPhasedEdgeHook(t *testing.T) {
+// TestPhasedReadBatchMatchesNext pins batch reads against per-access
+// reads: batches shorter and longer than a phase, batches ending exactly
+// on a switch, and batches mixed with Next calls all yield the Next
+// sequence, phase positions included.
+func TestPhasedReadBatchMatchesNext(t *testing.T) {
 	a, b := phasedTestParams()
-	const n = 100
-	p := NewPhased([]Phase{{Params: a, Accesses: n}, {Params: b, Accesses: n}}, 1, 0)
-	var edges []int
-	p.SetEdgeHook(func(next int) { edges = append(edges, next) })
-	for i := 0; i < 5*n; i++ {
-		p.Next()
-	}
-	if want := []int{1, 0, 1, 0}; !reflect.DeepEqual(edges, want) {
-		t.Fatalf("edge hook fired with %v, want %v", edges, want)
+	for pi, phases := range [][]Phase{
+		{{Params: a, Accesses: 5}, {Params: b, Accesses: 3}},
+		{{Params: a, Accesses: 100}, {Params: b, Accesses: 250}},
+		{{Params: a}},
+	} {
+		ref := NewPhased(phases, 9, 1)
+		want := make([]Access, 3000)
+		for i := range want {
+			want[i] = ref.Next()
+		}
+		p := NewPhased(phases, 9, 1)
+		got := make([]Access, 0, len(want))
+		dst := make([]Access, 200)
+		for _, k := range []int{1, 2, 7, 5, 3, 100, 200, 0, 64} {
+			if n := p.ReadBatch(dst[:k]); n != k {
+				t.Fatalf("ReadBatch(%d) returned %d", k, n)
+			}
+			got = append(got, dst[:k]...)
+			got = append(got, p.Next())
+		}
+		for len(got) < len(want) {
+			k := min(len(dst), len(want)-len(got))
+			p.ReadBatch(dst[:k])
+			got = append(got, dst[:k]...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("phase list %d: batched reads diverge from Next", pi)
+		}
+		if p.Phase() != ref.Phase() {
+			t.Fatalf("phase list %d: Phase() = %d after batched reads, want %d", pi, p.Phase(), ref.Phase())
+		}
 	}
 }
 

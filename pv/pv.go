@@ -65,8 +65,8 @@ type Spec struct {
 	// virtualized.
 	Sets int
 	Ways int
-	// PVCacheEntries sizes the PVCache (virtualized mode; the paper's final
-	// design uses 8).
+	// PVCacheEntries sizes the PVCache (virtualized mode, 1 to Sets; the
+	// paper's final design uses 8).
 	PVCacheEntries int
 	// OnChipOnly enables the §2.2 option that never writes PV metadata
 	// off-chip.
@@ -118,6 +118,13 @@ func (s Spec) Validate() error {
 	}
 	if s.Mode == Virtualized && s.PVCacheEntries <= 0 {
 		return fmt.Errorf("pv: virtualized predictor %s needs PVCacheEntries", s.Label())
+	}
+	if s.Mode == Virtualized && s.PVCacheEntries > s.Sets {
+		// The PVCache caches table sets, so entries beyond the set count
+		// can never fill; refusing them also bounds the PVCache allocation
+		// by the table's own size.
+		return fmt.Errorf("pv: virtualized predictor %s has %d PVCache entries for a %d-set table (at most %d)",
+			s.Label(), s.PVCacheEntries, s.Sets, s.Sets)
 	}
 	return b.Validate(s)
 }
