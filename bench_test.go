@@ -495,58 +495,6 @@ func BenchmarkHeadlineCompiledReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemStepParallel is the intra-run core-parallelism acceptance
-// pair: the batched compiled pipeline stepping all cores serial round-robin
-// versus the two-phase parallel stepper (Config.CoreParallel) on the same
-// wiring — PV-8 with the passive cost model folding, the parallel path's
-// headline configuration (the IPC timing model keeps the serial stepper).
-// ns/op is per access in both cases; results are bit-identical
-// (TestCoreParallelBitIdentical). The parallel side must stay >=1.5x faster
-// on a 4-hardware-thread host — the number BENCH_*.json records and
-// scripts/bench_guard.sh tracks.
-func BenchmarkSystemStepParallel(b *testing.B) {
-	w, _ := workloads.ByName("Apache")
-	base := sim.Default(w)
-	base.Prefetch = sim.PV8
-	base.Cost = timing.Config{Enabled: true}
-	const span = 200_000 // compiled accesses per core (Warmup+Measure)
-	base.Warmup, base.Measure = 0, span
-	base.Compile = true
-	for _, par := range []bool{false, true} {
-		name := "serial"
-		if par {
-			name = "parallel"
-		}
-		cfg := base
-		cfg.CoreParallel = par
-		b.Run(name, func(b *testing.B) {
-			sys := sim.NewSystem(cfg)
-			if par && !sys.CoreParallelActive() {
-				b.Fatal("parallel stepper not engaged")
-			}
-			cores := cfg.Hier.Cores
-			left := span
-			const rounds = 1000
-			b.ResetTimer()
-			for n := b.N; n > 0; {
-				if left < rounds {
-					b.StopTimer()
-					sys.Reset()
-					left = span
-					b.StartTimer()
-				}
-				k := rounds
-				if need := (n + cores - 1) / cores; need < k {
-					k = need
-				}
-				sys.StepAllN(k)
-				left -= k
-				n -= k * cores
-			}
-		})
-	}
-}
-
 // BenchmarkSystemStep measures the batched step loop on live generators:
 // ns/op is per access (all cores round-robin).
 func BenchmarkSystemStep(b *testing.B) {

@@ -35,7 +35,6 @@ func runServe(args []string, stdout io.Writer) error {
 	maxStored := fs.Int("max-stored", 0, "max results retained on disk (0 = default 256, negative = unbounded)")
 	rate := fs.Float64("rate", 0, "max sweep starts per second (0 = unlimited)")
 	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical output)")
-	coreParallel := fs.Bool("core-parallel", false, "parallelize each job across its simulated cores with a deterministic ordered commit (bit-identical output)")
 	shardWorkers := fs.String("shard-workers", "", "comma-separated shard-worker URLs (pvsim shard processes) to split each sweep across")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard dispatch timeout before re-dispatching to another worker (0 = default 10m)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight sweeps")
@@ -48,7 +47,7 @@ func runServe(args []string, stdout io.Writer) error {
 	}
 
 	opts := service.Options{
-		Engine:       sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile, CoreParallel: *coreParallel},
+		Engine:       sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile},
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		DataDir:      *dataDir,

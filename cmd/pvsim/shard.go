@@ -30,7 +30,6 @@ func runShard(args []string, stdout io.Writer) error {
 	parallel := fs.Int("p", 0, "max parallel simulations per shard")
 	maxSystems := fs.Int("pool", 0, "max pooled systems (0 = default, negative = unbounded)")
 	compile := fs.Bool("compile", false, "pre-compile access streams into binary traces and replay them batched (bit-identical output)")
-	coreParallel := fs.Bool("core-parallel", false, "parallelize each job across its simulated cores with a deterministic ordered commit (bit-identical output)")
 	join := fs.String("join", "", "coordinator base URL to register with (POST /workers)")
 	advertise := fs.String("advertise", "", "URL the coordinator should dispatch to (default http://<addr>)")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
@@ -41,7 +40,7 @@ func runShard(args []string, stdout io.Writer) error {
 		return fmt.Errorf("shard: unexpected arguments %v", fs.Args())
 	}
 
-	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile, CoreParallel: *coreParallel}
+	opts := sweep.Options{Parallel: *parallel, MaxSystems: *maxSystems, Compile: *compile}
 	var logf func(format string, a ...interface{})
 	if *verbose {
 		logf = func(f string, a ...interface{}) { fmt.Fprintf(os.Stderr, f+"\n", a...) }

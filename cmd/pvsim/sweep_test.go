@@ -136,6 +136,20 @@ func TestSweepErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "1000000000") || !strings.Contains(err.Error(), "1024") {
 		t.Errorf("-pvcache 1000000000: error %v, want one naming the entries and the table's 1024 sets", err)
 	}
+	// The parallel stepper is gone: its flag is unknown, and a grid file
+	// that still names its field is refused, naming the field.
+	err = run([]string{"sweep", "-specs", "PV-8", "-workloads", "Apache", "-core-parallel"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "core-parallel") {
+		t.Errorf("-core-parallel: error %v, want an unknown-flag error naming it", err)
+	}
+	gridFile := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(gridFile, []byte(`{"specs":["PV-8"],"workloads":["Apache"],"scale":0.0025,"core_parallel":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"sweep", "-grid", gridFile}, &out)
+	if err == nil || !strings.Contains(err.Error(), "core_parallel") {
+		t.Errorf("grid naming core_parallel: error %v, want an unknown-field error naming it", err)
+	}
 	// Flags-first invocation: the error must point at the subcommand
 	// syntax, not claim "unknown experiment".
 	err = run([]string{"-p", "4", "sweep", "-specs", "PV-8"}, &out)

@@ -54,6 +54,58 @@ func TestSubmitRejectsBadScale(t *testing.T) {
 	}
 }
 
+// hugeGridBody is a syntactically valid grid body of about 2 MiB, twice
+// maxBodyBytes: a long workload list.
+func hugeGridBody() string {
+	return `{"specs":["PV-8"],"workloads":[` + strings.Repeat(`"Apache",`, (2<<20)/9) + `"Apache"]}`
+}
+
+// postBody posts a raw body and returns the status and the answer.
+func postBody(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+// TestRejectsOversizedBody pins the request-body cap: a 2 MiB body to
+// POST /sweeps, POST /workers or a shard worker's POST /shard is a 413
+// naming the limit, not a decoder buffer that grows with the request, and
+// both servers keep serving valid requests afterwards.
+func TestRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: -1})
+	_, ws := startShardWorker(t)
+	for _, url := range []string{ts.URL + "/sweeps", ts.URL + "/workers", ws.URL + "/shard"} {
+		body := hugeGridBody()
+		if strings.HasSuffix(url, "/shard") {
+			body = `{"grid":` + body + `,"shard":{"start":0,"end":1}}`
+		}
+		code, msg := postBody(t, url, body)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "1048576") {
+			t.Errorf("%s: status %d (%.200s), want 413 naming the limit", url, code, msg)
+		}
+	}
+	if code, _, _ := postGrid(t, ts, smallGrid(), ""); code != http.StatusAccepted {
+		t.Errorf("valid grid after the oversized one: status %d, want 202", code)
+	}
+	g := smallGrid()
+	shards, err := g.Shards(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := jsonEncode(ShardRequest{Grid: g, Shard: shards[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := postBody(t, ws.URL+"/shard", string(req)); code != http.StatusOK {
+		t.Errorf("valid shard after the oversized one: status %d (%s), want 200", code, msg)
+	}
+}
+
 // TestSubmitRejectsOversizedPVCache pins the fail-closed PVCache cap: a
 // grid asking for more PVCache entries than the table has sets is a 400
 // naming both numbers, not a billion-entry allocation that kills the

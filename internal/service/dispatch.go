@@ -256,10 +256,10 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			URL string `json:"url"`
 		}
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(limitBody(w, r))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil || req.URL == "" {
-			httpError(w, http.StatusBadRequest, "want a JSON body like {\"url\": \"http://host:port\"}")
+			bodyError(w, err, "want a JSON body like {\"url\": \"http://host:port\"}")
 			return
 		}
 		if s.dispatcher.add(req.URL) {

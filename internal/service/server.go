@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -437,9 +438,9 @@ func (s *Server) persistQueue(interrupted []Pending) error {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	g, err := sweep.DecodeGrid(r.Body)
+	g, err := sweep.DecodeGrid(limitBody(w, r))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		bodyError(w, err, err.Error())
 		return
 	}
 	if err := g.Validate(); err != nil {
@@ -728,4 +729,27 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// maxBodyBytes caps every request body the service and its shard workers
+// decode. Real grids are a few KB; the cap keeps one oversized request
+// from growing the decoder's buffer without bound.
+const maxBodyBytes = 1 << 20
+
+// limitBody caps r's body at maxBodyBytes and returns it.
+func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	return r.Body
+}
+
+// bodyError answers a failure to decode a limited body: 413 naming the
+// limit when the body was too large, else 400 with msg.
+func bodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, msg)
 }

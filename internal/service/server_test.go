@@ -658,14 +658,16 @@ func TestQueuePersistsAcrossRestart(t *testing.T) {
 func TestServerErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: sweep.Options{Parallel: 2}})
 
-	// Malformed and invalid grids: 400.
-	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed grid: status %d, want 400", resp.StatusCode)
+	// Malformed and invalid grids: 400. core_parallel is a removed field,
+	// so it is unknown and the error names it.
+	for _, body := range []string{"{not json", `{"specs":["PV-8"],"workloads":["Apache"],"core_parallel":true}`} {
+		code, msg := postBody(t, ts.URL+"/sweeps", body)
+		if code != http.StatusBadRequest {
+			t.Errorf("grid %s: status %d (%s), want 400", body, code, msg)
+		}
+		if strings.Contains(body, "core_parallel") && !strings.Contains(msg, "core_parallel") {
+			t.Errorf("grid %s: error %s does not name the unknown field", body, msg)
+		}
 	}
 	if code, _, _ := postGrid(t, ts, sweep.Grid{Specs: []string{"no-such-spec"}}, ""); code != http.StatusBadRequest {
 		t.Errorf("unknown spec: status %d, want 400", code)
@@ -698,7 +700,7 @@ func TestServerErrors(t *testing.T) {
 	_, run, _ := postGrid(t, ts, g, "")
 	pollStatus(t, ts, run.ID, "done")
 	for _, path := range []string{"/result?format=yaml", "/stream?format=yaml"} {
-		resp, err = http.Get(ts.URL + "/sweeps/" + run.ID + path)
+		resp, err := http.Get(ts.URL + "/sweeps/" + run.ID + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -709,7 +711,7 @@ func TestServerErrors(t *testing.T) {
 	}
 	// Cancelling a finished sweep: 409.
 	r, _ := http.NewRequest("DELETE", ts.URL+"/sweeps/"+run.ID, nil)
-	resp, err = http.DefaultClient.Do(r)
+	resp, err := http.DefaultClient.Do(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,17 +57,17 @@ func (w *ShardWorker) logf(format string, args ...interface{}) {
 	}
 }
 
-// handleShard runs one shard. Bad requests (undecodable body, invalid
-// grid, out-of-range shard) answer 400; a cancelled dispatch (the
+// handleShard runs one shard. A body over maxBodyBytes answers 413; bad
+// requests (undecodable body, invalid grid, out-of-range shard) answer 400; a cancelled dispatch (the
 // coordinator hung up or timed out) aborts the run via the request
 // context and answers nothing anyone reads; simulation failures answer
 // 500 so the dispatcher re-dispatches the range elsewhere.
 func (w *ShardWorker) handleShard(rw http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(limitBody(rw, r))
 	dec.DisallowUnknownFields()
 	var req ShardRequest
 	if err := dec.Decode(&req); err != nil {
-		httpError(rw, http.StatusBadRequest, fmt.Sprintf("decoding shard request: %v", err))
+		bodyError(rw, err, fmt.Sprintf("decoding shard request: %v", err))
 		return
 	}
 	if err := req.Grid.Validate(); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pvsim/internal/timing"
@@ -227,4 +228,71 @@ func TestRunSMARTSCompiledMatchesLive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckStreamsTruncated is the regression pin for the dry-stream
+// panic: compiling fewer accesses than the run needs must surface as a
+// descriptive error from CheckStreams/RunChecked — up front, before any
+// stepping — while Run still panics with the same diagnosis for callers
+// that skipped the checked surface.
+func TestCheckStreamsTruncated(t *testing.T) {
+	cfg := quickConfig(t, "Apache")
+	cfg.Prefetch = PV8
+
+	sys := NewSystem(cfg)
+	if err := sys.CheckStreams(); err != nil {
+		t.Fatalf("live system CheckStreams: %v", err)
+	}
+	short := cfg.Warmup + cfg.Measure - 1000
+	sys.CompileStreams(short)
+	err := sys.CheckStreams()
+	if err == nil {
+		t.Fatal("CheckStreams accepted truncated streams")
+	}
+	for _, want := range []string{"core 0", "holds", "recompile"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("CheckStreams error %q missing %q", err, want)
+		}
+	}
+	if _, rerr := sys.RunChecked(); rerr == nil {
+		t.Fatal("RunChecked ran a truncated compiled system")
+	}
+
+	// Run must panic up front with the dry-stream diagnosis, not step into
+	// the truncation.
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("Run did not panic on truncated streams")
+			}
+			if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "holds") {
+				t.Fatalf("Run panic %v is not the dry-stream diagnosis", r)
+			}
+		}()
+		sys.Run()
+	}()
+
+	// A correctly sized recompile clears the error and the run completes.
+	fresh := NewSystem(cfg)
+	fresh.CompileStreams(cfg.Warmup + cfg.Measure)
+	if err := fresh.CheckStreams(); err != nil {
+		t.Fatalf("full-length CheckStreams: %v", err)
+	}
+	if _, err := fresh.RunChecked(); err != nil {
+		t.Fatalf("full-length RunChecked: %v", err)
+	}
+
+	// Stepping past the compiled length without the check hits the step
+	// loop's backstop panic, naming the core that ran dry.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "core 0 ran dry") {
+				t.Fatalf("StepAllN past the compiled length: panic %q, want the dry-stream backstop", msg)
+			}
+		}()
+		dry := NewSystem(cfg)
+		dry.CompileStreams(short)
+		dry.StepAllN(short + 1)
+	}()
 }

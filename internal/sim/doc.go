@@ -30,9 +30,9 @@
 // batches round-robin, one access per core per round. Phase-flush edges
 // (Config.PhaseFlush) fire in that loop, immediately before a core's
 // first access of its new phase, so stream production stays free of side
-// effects and every wiring batches and compiles. Config.CoreParallel
-// swaps in the two-phase parallel stepper (parallel.go) where the wiring
-// allows it.
+// effects and every wiring batches and compiles. The loop is serial, so
+// the shared L2, cross-core invalidations and PVProxy traffic see one
+// deterministic order and output is a pure function of Config.
 //
 // # Running
 //

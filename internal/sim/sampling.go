@@ -50,8 +50,6 @@ func RunSMARTS(cfg Config, plan SMARTSConfig) Result {
 		panic(err)
 	}
 	cfg.Timing = true
-	// Sampling is a timing mode, which the parallel stepper does not cover.
-	cfg.CoreParallel = false
 	// The SMARTS plan, not cfg.Measure, sets the run length, so the system
 	// is built with Measure covering the plan: a compiled stream then holds
 	// every access the plan steps.

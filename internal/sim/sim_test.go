@@ -35,6 +35,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero measure accepted")
 	}
 	bad = cfg
+	bad.CoreParallel = true
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "parallel stepper was removed") {
+		t.Errorf("CoreParallel accepted or misreported: %v", err)
+	}
+	bad = cfg
 	bad.Prefetch = pv.Spec{Name: "sms", Mode: pv.Dedicated}
 	if err := bad.Validate(); err == nil {
 		t.Error("dedicated without geometry accepted")

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	pvcore "pvsim/internal/core"
 	"pvsim/internal/cpu"
@@ -70,27 +69,9 @@ type System struct {
 
 	// compiled holds the per-core compiled replayers after CompileStreams
 	// swapped them in (nil on the live-generator path), and batch the
-	// reusable per-core stream buffers of the batched step loop, with
-	// filled the count each core's last ReadBatch returned.
+	// reusable per-core stream buffers of the batched step loop.
 	compiled []*trace.CompiledReplayer
 	batch    [][]trace.Access
-	filled   []int
-
-	// coreParallel is the effective CoreParallel switch: the config asked
-	// for it and the wiring is eligible (parallelEligible); StepAllN then
-	// dispatches to the two-phase parallel stepper. backends holds each
-	// core's routed PVProxy backend (nil entries without a predictor), fx
-	// the per-core deferred-effect logs, and sched the reusable
-	// remote-invalidation schedule of the current batch.
-	coreParallel bool
-	backends     []*routedBackend
-	fx           []*memsys.Effects
-	sched        []writeEvent
-
-	// pipeSched/pipeFault are the model checker's hooks into the parallel
-	// stepper (SetPipelineSched); nil/empty in production runs.
-	pipeSched PipelineSched
-	pipeFault string
 }
 
 // phaseEdges is one phase-flush core's edge schedule: its phase lengths,
@@ -161,9 +142,7 @@ func NewSystem(cfg Config) *System {
 		snapStart: make([]cpu.Snapshot, n),
 		snapPrev:  make([]cpu.Snapshot, n),
 		snapCur:   make([]cpu.Snapshot, n),
-		backends:  make([]*routedBackend, n),
 		batch:     make([][]trace.Access, n),
-		filled:    make([]int, n),
 	}
 	for c := range sys.batch {
 		sys.batch[c] = make([]trace.Access, batchLen)
@@ -213,12 +192,6 @@ func NewSystem(cfg Config) *System {
 		if builder == nil {
 			continue
 		}
-
-		// The routed backend is a plain passthrough to the hierarchy in
-		// serial operation; the parallel local phase points its fx at the
-		// core's effect log to defer PVProxy traffic (see parallel.go).
-		rb := &routedBackend{h: sys.Hier}
-		sys.backends[c] = rb
 		env := pv.Env{
 			Core:         c,
 			Cores:        n,
@@ -227,7 +200,7 @@ func NewSystem(cfg Config) *System {
 			L1BlockBytes: hcfg.L1D.BlockBytes,
 			L2BlockBytes: hcfg.L2.BlockBytes,
 			Start:        pv.TableStart(c),
-			Backend:      rb,
+			Backend:      pvcore.HierarchyBackend{H: sys.Hier},
 			Sink:         prefetchSink{sys: sys, core: c},
 			Shared:       shared,
 		}
@@ -242,11 +215,8 @@ func NewSystem(cfg Config) *System {
 			panic(err)
 		}
 		sys.preds[c] = inst
-		if v, ok := inst.(pv.Virtualizable); ok {
-			rb.stats = v.ProxyStats() // nil when dedicated
-			if sys.tm != nil {
-				sys.proxyLive[c] = v.ProxyStats()
-			}
+		if v, ok := inst.(pv.Virtualizable); ok && sys.tm != nil {
+			sys.proxyLive[c] = v.ProxyStats() // nil when dedicated
 		}
 		c := c
 		sys.Hier.SetL1DEvictHook(c, func(addr memsys.Addr, _ memsys.EvictCause) {
@@ -276,9 +246,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.Compile {
 		sys.CompileStreams(cfg.Warmup + cfg.Measure)
-	}
-	if cfg.CoreParallel {
-		sys.SetCoreParallel(true)
 	}
 	return sys
 }
@@ -467,12 +434,11 @@ func (s *System) pruneInflight(c int) {
 	}
 }
 
-// batchLen is the step loop's per-core buffer size, shared by every
-// stepping path. Every system holds its buffers (cores x batchLen x 24 B),
-// so the size trades memory per pooled system against per-batch overhead:
-// one ReadBatch call per core, and the parallel stepper's goroutine
-// hand-offs. A compiled replayer keeps its decode position across calls,
-// so a batch need not align with the trace's chunks.
+// batchLen is the step loop's per-core buffer size. Every system holds its
+// buffers (cores x batchLen x 24 B), so the size trades memory per pooled
+// system against per-batch overhead: one ReadBatch call per core. A
+// compiled replayer keeps its decode position across calls, so a batch
+// need not align with the trace's chunks.
 const batchLen = 1024
 
 // StepAllN advances every core by n accesses, round-robin: cores
@@ -484,42 +450,30 @@ const batchLen = 1024
 // accesses asked for. Results do not depend on how a run is split into
 // StepAllN calls.
 func (s *System) StepAllN(n int) {
-	if s.coreParallel {
-		s.stepAllNParallel(n)
-		return
-	}
 	for n > 0 {
 		k := min(n, batchLen)
-		s.fill(k, false)
+		s.fill(k)
 		s.stepBatch(k)
 		n -= k
 	}
 }
 
 // fill reads the next k accesses of every core's stream into its batch
-// buffer — concurrently, one goroutine per core, when parallel is set —
-// and panics on the calling goroutine when a compiled stream runs dry.
-func (s *System) fill(k int, parallel bool) {
-	if !parallel {
-		for c, g := range s.gens {
-			s.filled[c] = g.ReadBatch(s.batch[c][:k])
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(s.gens))
-		for c := range s.gens {
-			go func(c int) {
-				defer wg.Done()
-				s.filled[c] = s.gens[c].ReadBatch(s.batch[c][:k])
-			}(c)
-		}
-		wg.Wait()
-	}
-	for c, got := range s.filled {
-		if got < k {
+// buffer and panics when a compiled stream runs dry.
+func (s *System) fill(k int) {
+	for c, g := range s.gens {
+		if got := g.ReadBatch(s.batch[c][:k]); got < k {
 			panic(dryStreamError(c, k, got))
 		}
 	}
+}
+
+// dryStreamError formats the compiled-stream underrun panic of fill.
+// CheckStreams catches the misuse descriptively before any stepping; this
+// panic is the backstop for callers stepping past the length they
+// compiled.
+func dryStreamError(core, want, got int) string {
+	return fmt.Sprintf("sim: compiled stream for core %d ran dry %d accesses short", core, want-got)
 }
 
 // stepBatch steps rounds [0, k) of the filled batch buffers in round-robin

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -516,57 +515,5 @@ func TestSweepCompileByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(bj, cj) {
 		t.Fatalf("compiled sweep diverges from generator sweep:\n%d vs %d bytes", len(bj), len(cj))
-	}
-}
-
-// TestSweepCoreParallelByteIdentical pins the two-phase parallel stepper
-// at the sweep level: the full test grid — workloads, mixes, a phased mix
-// (which falls back to serial stepping), every spec — run under
-// Options.CoreParallel must render byte-identical JSON to the serial-step
-// run, at Parallel=1 and Parallel=8, with and without Options.Compile
-// underneath.
-func TestSweepCoreParallelByteIdentical(t *testing.T) {
-	g := testGrid()
-	run := func(o Options) []byte {
-		t.Helper()
-		res, err := New(o).Run(context.Background(), g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	want := run(Options{Parallel: 2})
-	for _, o := range []Options{
-		{Parallel: 1, CoreParallel: true},
-		{Parallel: 8, CoreParallel: true},
-		{Parallel: 2, CoreParallel: true, Compile: true},
-	} {
-		if got := run(o); !bytes.Equal(want, got) {
-			t.Fatalf("core-parallel sweep (%+v) diverges from serial sweep:\n--- want ---\n%s\n--- got ---\n%s", o, want, got)
-		}
-	}
-
-	// The grid-level switch must behave exactly like the engine option: the
-	// rows are identical (the grids themselves differ by the declared
-	// core_parallel field, which is part of the grid hash but of no row).
-	cg := g
-	cg.CoreParallel = true
-	base, err := New(Options{Parallel: 2}).Run(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := New(Options{Parallel: 2}).Run(context.Background(), cg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Rows, cres.Rows) {
-		t.Fatalf("Grid.CoreParallel rows diverge from serial rows:\n%+v\nvs\n%+v", base.Rows, cres.Rows)
-	}
-	if base.Grid.Hash() == cres.Grid.Hash() {
-		t.Fatal("Grid.CoreParallel not part of the grid hash")
 	}
 }
